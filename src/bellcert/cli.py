@@ -163,12 +163,6 @@ def cmd_verify(args) -> int:
         poly = compiled.poly
 
     checks: dict[str, dict] = {}
-
-    def spectral_value() -> float:
-        real = verify.canonical_realization(
-            compiled.assignment if compiled else _poly_assignment(poly))
-        return verify.max_eig(verify.materialize(poly, real)).max_eigenvalue
-
     if args.check in ("sos", "all"):
         if compiled is None:
             raise UsageError("sos verification needs certificate flags, "
@@ -195,7 +189,12 @@ def cmd_verify(args) -> int:
                              "file needs --code for the codespace checks")
         checks["spectral"] = _spectral_report(compiled, code)
     if args.check in ("classical", "all"):
-        quantum = spectral_value()
+        if "spectral" in checks:
+            quantum = checks["spectral"]["max_eigenvalue"]
+        else:
+            real = verify.canonical_realization(
+                compiled.assignment if compiled else _poly_assignment(poly))
+            quantum = verify.max_eig(verify.materialize(poly, real)).max_eigenvalue
         classical = verify.classical_bound(poly)
         checks["classical"] = {
             "classical_bound": classical,
@@ -222,7 +221,8 @@ def cmd_selftest(args) -> int:
     code = _load_code_arg(args)
     budget = engine.Budget(max_facts=args.budget_facts)
     if args.action == "deduce":
-        subset = frozenset(_parse_ints(args.subset)) if args.subset else None
+        subset = (frozenset(_parse_ints(args.subset))
+                  if args.subset is not None else None)
         problem = engine.problem_for_code(code, pair_sites=subset,
                                           extras=not args.no_extras)
         result = engine.deduce(problem, budget)

@@ -40,16 +40,6 @@ class ProblemError(ValueError):
 
 
 @dataclass(frozen=True)
-class Hypotheses:
-    n: int
-    q: int
-    pair_sites: frozenset[int]
-
-    def is_pair(self, site: int) -> bool:
-        return site in self.pair_sites
-
-
-@dataclass(frozen=True)
 class Problem:
     """Operators fixing the state plus the candidate pair-site subset."""
 
@@ -84,8 +74,8 @@ class Problem:
             ops.append(tuple(factors))
         object.__setattr__(self, "operators", tuple(ops))
 
-    def hypotheses(self) -> Hypotheses:
-        return Hypotheses(self.n, self.q, self.pair_sites)
+    def is_pair(self, site: int) -> bool:
+        return site in self.pair_sites
 
     def to_json(self) -> dict:
         return {
@@ -155,10 +145,10 @@ def _merge_runs(runs: list[tuple[str, int]], q: int, reduce_mod: bool,
 
 
 def _normalize_site(runs: list[tuple[str, int]], site: int,
-                    hyp: Hypotheses) -> tuple[SiteRuns, int]:
+                    problem: Problem) -> tuple[SiteRuns, int]:
     """Site-local normal form and the omega-phase extracted from it."""
-    q = hyp.q
-    is_pair = hyp.is_pair(site)
+    q = problem.q
+    is_pair = problem.is_pair(site)
     hermitian = (q == 2)
     reduce_mod = not is_pair  # X^q = Z^q = 1 holds as operators off the pair set
     phase = 0
@@ -181,33 +171,33 @@ def _normalize_site(runs: list[tuple[str, int]], site: int,
 
 
 def normalize(factors: Iterable[tuple[int, str, int]],
-              hyp: Hypotheses) -> tuple[Word, int]:
+              problem: Problem) -> tuple[Word, int]:
     per_site: dict[int, list[tuple[str, int]]] = {}
     for site, sym, power in factors:
         per_site.setdefault(site, []).append((sym, int(power)))
     phase = 0
     items = []
     for site in sorted(per_site):
-        runs, ph = _normalize_site(per_site[site], site, hyp)
+        runs, ph = _normalize_site(per_site[site], site, problem)
         phase += ph
         if runs:
             items.append((site, runs))
-    return tuple(items), phase % hyp.q
+    return tuple(items), phase % problem.q
 
 
-def word_product(a: Word, b: Word, hyp: Hypotheses) -> tuple[Word, int]:
+def word_product(a: Word, b: Word, problem: Problem) -> tuple[Word, int]:
     factors = [(site, sym, power) for site, runs in a for sym, power in runs]
     factors += [(site, sym, power) for site, runs in b for sym, power in runs]
-    return normalize(factors, hyp)
+    return normalize(factors, problem)
 
 
-def word_dagger(a: Word, hyp: Hypotheses) -> tuple[Word, int]:
+def word_dagger(a: Word, problem: Problem) -> tuple[Word, int]:
     """Adjoint word (q > 2 only; relies on the unitarity axiom)."""
     factors = []
     for site, runs in a:
         for sym, power in reversed(runs):
             factors.append((site, sym, -power))
-    return normalize(factors, hyp)
+    return normalize(factors, problem)
 
 
 def word_letters(a: Word) -> int:
@@ -309,9 +299,11 @@ class Fact:
     rule: str
     premises: tuple[int, ...] = ()
     site_set: frozenset[int] = frozenset()
+    letters: int = 0
 
     def __post_init__(self):
         self.site_set = frozenset(site for site, _ in self.word)
+        self.letters = word_letters(self.word)
 
 
 @dataclass
@@ -365,7 +357,6 @@ class _Engine:
     def __init__(self, problem: Problem, budget: Budget):
         self.problem = problem
         self.budget = budget
-        self.hyp = problem.hypotheses()
         self.q = problem.q
         self.facts: list[Fact] = []
         self.by_word: dict[Word, Fact] = {}
@@ -457,7 +448,7 @@ class _Engine:
     # -- goal ---------------------------------------------------------------
 
     def _square_known(self, site: int, sym: str) -> bool:
-        if self.q == 2 and not self.hyp.is_pair(site):
+        if self.q == 2 and not self.problem.is_pair(site):
             return True  # operator hypothesis off the pair set
         fact = self.by_word.get(((site, ((sym, 2),)),))
         return fact is not None and fact.phase == 0
@@ -473,23 +464,23 @@ class _Engine:
     # -- rules --------------------------------------------------------------
 
     def seed(self):
-        for site in sorted(self.hyp.pair_sites):
+        for site in sorted(self.problem.pair_sites):
             self.add_pair_comm(site, 1, "hypothesis", (),
                                detail="anticommuting-pair site")
         for op in self.problem.operators:
-            word, ph = normalize(op, self.hyp)
+            word, ph = normalize(op, self.problem)
             fact = self.add_fact(word, -ph, "seed")
             if self.contradiction:
                 return
             if self.q > 2 and fact is not None:
-                dag, dph = word_dagger(fact.word, self.hyp)
+                dag, dph = word_dagger(fact.word, self.problem)
                 self.add_fact(dag, -fact.phase - dph, "adjoint", (fact.idx,))
 
     def r2_powers(self, fact: Fact):
         """Powers W^t for t = 2..q of a state equation."""
         word, phase = fact.word, fact.phase
         for _t in range(2, self.q + 1):
-            word, ph = word_product(word, fact.word, self.hyp)
+            word, ph = word_product(word, fact.word, self.problem)
             phase = (phase + fact.phase - ph) % self.q
             self.add_fact(word, phase, "power", (fact.idx,))
             if self.contradiction or not word:
@@ -523,7 +514,7 @@ class _Engine:
             for old in self.facts[:]:
                 if old.idx == new.idx or not new.site_set <= old.site_set:
                     continue
-                if word_letters(old.word) <= word_letters(new.word):
+                if old.letters <= new.letters:
                     continue
                 split = _suffix_split(old.word, new.word)
                 if split is None or split == old.word:
@@ -541,12 +532,12 @@ class _Engine:
         if self.budget.combine == "even" and not (
                 word_all_even(a.word) and word_all_even(b.word)):
             return
-        if word_letters(a.word) + word_letters(b.word) > self.budget.max_word_letters:
+        if a.letters + b.letters > self.budget.max_word_letters:
             return  # normalization and rewriting only shrink words
         if self.products_used >= self.budget.max_products:
             return
         self.products_used += 1
-        word, ph = word_product(a.word, b.word, self.hyp)
+        word, ph = word_product(a.word, b.word, self.problem)
         self.add_fact(word, a.phase + b.phase - ph, "combine", (a.idx, b.idx))
 
     def _solves(self) -> dict[int, dict[str, list[tuple[int, Fact, Word]]]]:
@@ -564,10 +555,10 @@ class _Engine:
                     continue
                 sym, power = runs[0]
                 if self.q == 2:
-                    if self.hyp.is_pair(site) or power != 1:
+                    if self.problem.is_pair(site) or power != 1:
                         continue
                     solved = 1
-                elif self.hyp.is_pair(site):
+                elif self.problem.is_pair(site):
                     if power == -1:
                         solved = 1
                     elif power == 1:
@@ -605,8 +596,8 @@ class _Engine:
                 key = (fx.idx, fz.idx, site)
                 if key in self.r4_done:
                     continue
-                uv, ph1 = word_product(u_rest, v_rest, self.hyp)
-                vu, ph2 = word_product(v_rest, u_rest, self.hyp)
+                uv, ph1 = word_product(u_rest, v_rest, self.problem)
+                vu, ph2 = word_product(v_rest, u_rest, self.problem)
                 uv, ph1 = self._rewrite(uv, ph1)
                 vu, ph2 = self._rewrite(vu, ph2)
                 if uv == vu:

@@ -11,7 +11,6 @@ Sites are 1-indexed in all public I/O; exponent vectors are stored
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -196,6 +195,38 @@ def apply_word(word: PauliWord, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
+def codespace_basis(code: StabilizerCode) -> np.ndarray:
+    """Orthonormal basis (q^n x q^k) of the joint +1 eigenspace of a code.
+
+    Seeded random probes pass through the product projector
+    prod_i (1/q) sum_t S_i^t, m*(q-1) word applications in all, and an SVD
+    orthonormalizes the result.  Raises ValueError when the projected rank
+    is not q^k or a basis column is not fixed by some generator, which is
+    how generators that do not commute, or whose q-th power is not I, show.
+    """
+    q, dim, want = code.q, code.q**code.n, code.q**code.k
+    if dim > MAX_DENSE_DIM:
+        raise ValueError(f"dimension {dim} exceeds dense cap {MAX_DENSE_DIM}")
+    rng = np.random.default_rng(0)
+    block = rng.normal(size=(dim, want + 8)) + 1j * rng.normal(size=(dim, want + 8))
+    for g in code.generators:
+        term, acc = block, block
+        for _ in range(q - 1):
+            term = apply_word(g, term)
+            acc = acc + term
+        block = acc / q
+    u, s, _ = np.linalg.svd(block, full_matrices=False)
+    rank = int((s > 1e-8 * max(s[0], 1.0)).sum())
+    if rank != want:
+        raise ValueError(
+            f"joint +1 eigenspace has dimension {rank}, expected q^k = {want}")
+    basis = u[:, :want]
+    for i, g in enumerate(code.generators):
+        if np.abs(apply_word(g, basis) - basis).max() > 1e-9:
+            raise ValueError(f"codespace basis not fixed by generator S_{i + 1}")
+    return basis
+
+
 # ---------------------------------------------------------------------------
 # Stabilizer codes
 # ---------------------------------------------------------------------------
@@ -327,27 +358,11 @@ def validate_code(code: StabilizerCode) -> StabilizerCode:
     # with each other when q divides n, so no pair-exponent constraint is
     # enforced beyond commuting with the generators.
     if q**n <= 2**10:
-        dim = codespace_dimension(code)
-        if dim != q**code.k:
-            raise CodeValidationError(
-                f"joint +1 eigenspace has dimension {dim}, expected q^k = {q**code.k}")
+        try:
+            codespace_basis(code)
+        except ValueError as exc:
+            raise CodeValidationError(str(exc)) from exc
     return code
-
-
-def codespace_dimension(code: StabilizerCode) -> int:
-    """Trace of the joint +1 projector, via the group average.
-
-    tr(P) = (1/|G|) sum_g tr(g); every non-identity word is traceless, so
-    only scalar group elements contribute.
-    """
-    dim = code.q**code.n
-    group = stabilizer_group(code.generators)
-    tr = 0.0 + 0.0j
-    tau = cmath.exp(1j * math.pi / code.q)
-    for g in group:
-        if not any(g.x_exp) and not any(g.z_exp):
-            tr += tau**g.phase * dim
-    return int(round((tr / len(group)).real))
 
 
 # ---------------------------------------------------------------------------

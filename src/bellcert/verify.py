@@ -1,8 +1,9 @@
 """Matrix-level verification: realizations, spectra, codespaces, bounds.
 
 Everything here is dense linear algebra on dimensions up to 2^14, with
-deterministic outputs (fixed summation order, LAPACK Hermitian eigensolver,
-seeded probes where randomness is unavoidable).
+deterministic outputs (fixed summation order, LAPACK Hermitian eigensolver).
+Codespaces come from ``pauli.codespace_basis``: seeded random probes passed
+through the stabilizer product projector prod_i (1/q) sum_t S_i^t.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import PauliWord, StabilizerCode, apply_word, code_preset, stabilizer_group
+from .pauli import (MAX_DENSE_DIM, PauliWord, StabilizerCode, apply_word,
+                    code_preset, codespace_basis)
 from .poly import BellPolynomial, DIRECT, MeasurementAssignment
 from .compile import CompiledInequality, SOSCertificate, build_bell
 
-MAX_DIM = 2**14
 EIG_CLUSTER_TOL = 1e-8
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -100,8 +101,8 @@ def materialize(poly: BellPolynomial, real: Realization) -> np.ndarray:
     if poly.max_site() > real.n:
         raise ValueError(f"polynomial touches site {poly.max_site()} "
                          f"but realization has {real.n}")
-    if real.n > 14 or real.total_dim() > MAX_DIM:
-        raise ValueError(f"dimension {real.total_dim()} exceeds cap {MAX_DIM}")
+    if real.n > 14 or real.total_dim() > MAX_DENSE_DIM:
+        raise ValueError(f"dimension {real.total_dim()} exceeds cap {MAX_DENSE_DIM}")
     dim = real.total_dim()
     out = np.zeros((dim, dim), dtype=complex)
     eyes = [np.eye(real.dim(s), dtype=complex) for s in range(1, real.n + 1)]
@@ -158,55 +159,17 @@ def max_eig(h: np.ndarray, bound: float | None = None) -> SpectralReport:
 # Codespaces
 # ---------------------------------------------------------------------------
 
-def _group_project(code: StabilizerCode, block: np.ndarray) -> np.ndarray:
-    """Apply the group-average projector onto the joint +1 eigenspace."""
-    group = stabilizer_group(code.generators)
-    acc = np.zeros_like(block, dtype=complex)
-    for g in group:
-        acc += apply_word(g, block)
-    return acc / len(group)
-
-
-def codespace_basis(code: StabilizerCode) -> np.ndarray:
-    """Orthonormal basis of the joint +1 eigenspace (qubit codes, dim 2^k)."""
-    if code.q != 2:
-        raise ValueError("codespace_basis handles q=2; use qudit_codespace")
-    dim = 2**code.n
-    if dim > MAX_DIM:
-        raise ValueError("code too large for dense projector")
-    proj = _group_project(code, np.eye(dim, dtype=complex))
-    vals, vecs = np.linalg.eigh((proj + proj.conj().T) / 2)
-    keep = vals > 0.5
-    basis = vecs[:, keep]
-    if basis.shape[1] == 0:
-        raise ValueError("empty joint +1 eigenspace (inconsistent generators)")
-    if basis.shape[1] != 2**code.k:
-        raise ValueError(f"eigenspace dimension {basis.shape[1]} != 2^k")
-    return basis
-
-
 def qudit_codespace(q: int) -> np.ndarray:
     """Joint omega^0 eigenspace basis of the five-site qudit code, dim q.
 
-    Uses seeded random probes projected through the stabilizer group average,
-    so the q=5 case never needs a 3125x3125 eigendecomposition.
+    The five_qudit preset through ``codespace_basis``: seeded probes passed
+    through the stabilizer product projector, so the q=5 case never needs a
+    3125x3125 eigendecomposition.
     """
     code = code_preset("five_qudit", q=q)  # rejects composite q
     if q > 5:
         raise ValueError("qudit codespace supported for prime q <= 5")
-    dim = q**code.n
-    rng = np.random.default_rng(0)
-    block = rng.normal(size=(dim, q + 8)) + 1j * rng.normal(size=(dim, q + 8))
-    proj = _group_project(code, block)
-    u, s, _ = np.linalg.svd(proj, full_matrices=False)
-    rank = int((s > 1e-8 * max(s[0], 1.0)).sum())
-    if rank != q:
-        raise ValueError(f"projected rank {rank} != q = {q}")
-    basis = u[:, :q]
-    for i, g in enumerate(code.generators):
-        if np.abs(apply_word(g, basis) - basis).max() > 1e-9:
-            raise ValueError(f"basis not fixed by generator {i + 1}")
-    return basis
+    return codespace_basis(code)
 
 
 def principal_angle_sin(basis_a: np.ndarray, basis_b: np.ndarray) -> float:

@@ -67,6 +67,19 @@ class TestVerify:
         assert run(["verify", "classical", "--code", "five_qubit",
                     "--poly-file", str(poly)]) == 0
 
+    def test_all_materializes_once(self, capsys, monkeypatch):
+        from bellcert import verify
+        calls = []
+        real_materialize = verify.materialize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_materialize(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "materialize", counting)
+        assert run(["verify", "all", "--code", "five_qubit"]) == 0
+        assert len(calls) == 1
+
     def test_tilt_sweep_csv(self, capsys):
         assert run(["verify", "spectral", "--code", "five_qubit",
                     "--alpha0", "1", "--sweep",
@@ -84,6 +97,9 @@ class TestSelftest:
                     "--no-extras"]) == 3
         capsys.readouterr()
         assert run(["selftest", "deduce", "--code", "five_qudit:3"]) == 4
+        capsys.readouterr()
+        # an empty --subset is the empty pair-site subset, not the preset's
+        assert run(["selftest", "deduce", "--code", "shor", "--subset", ""]) == 3
         capsys.readouterr()
 
     def test_search_output(self, capsys):

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bellcert.pauli import (CodeValidationError, PauliWord, apply_word,
-                            code_preset, codespace_dimension, comm_exponent,
-                            load_code, mul, stabilizer_group, validate_code)
+from bellcert.pauli import (CodeValidationError, PauliWord, StabilizerCode,
+                            apply_word, code_preset, codespace_basis,
+                            comm_exponent, load_code, mul, stabilizer_group,
+                            validate_code)
+from bellcert.verify import principal_angle_sin
 
 
 def _rand_word(rng, n, q=2):
@@ -96,10 +98,28 @@ def test_preset_generators_commute():
                 assert comm_exponent(a, b) == 0
 
 
-def test_preset_codespace_dimension():
-    for name, expect in [("five_qubit", 2), ("steane", 2), ("shor", 2),
-                         ("five_qudit:3", 3)]:
-        assert codespace_dimension(code_preset(name)) == expect
+@pytest.mark.parametrize("name", ["five_qubit", "steane", "shor", "five_qudit:3"])
+def test_preset_codespace_basis(name):
+    code = code_preset(name)
+    basis = codespace_basis(code)
+    assert basis.shape == (code.q**code.n, code.q**code.k)
+    assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() <= 1e-10
+    for g in code.generators:
+        assert np.abs(apply_word(g, basis) - basis).max() <= 1e-9
+    if name == "shor":
+        return  # the 256-element dense group average is too slow for tier-1
+    group = stabilizer_group(code.generators)
+    proj = sum(g.matrix() for g in group) / len(group)
+    vals, vecs = np.linalg.eigh((proj + proj.conj().T) / 2)
+    assert principal_angle_sin(vecs[:, vals > 0.5], basis) <= 1e-9
+
+
+def test_codespace_basis_rejects_anticommuting_generators():
+    x1 = PauliWord.from_factors(2, [(1, "X", 1)])
+    z1 = PauliWord.from_factors(2, [(1, "Z", 1)])
+    code = StabilizerCode("bad", 2, 1, 2, (x1, z1), logical_x=x1, logical_z=z1)
+    with pytest.raises(ValueError):
+        codespace_basis(code)
 
 
 def test_projector_rank_matches_numerics(five_qubit):
