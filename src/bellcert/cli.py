@@ -261,6 +261,10 @@ def cmd_simulate(args) -> int:
     else:
         compiled = compiler.build_bell(_certificate(args, code), code)
         poly = compiled.poly
+    needed = max(1, sum(not mono.is_identity for mono, _ in poly.terms()))
+    if args.shots < needed:
+        raise UsageError(f"--shots {args.shots} below {needed}: every sampled "
+                         "monomial needs at least one shot")
     strategy = sim.Strategy.from_code(code, theta=args.state_theta,
                                       seed=args.seed)
     if args.action == "estimate":

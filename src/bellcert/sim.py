@@ -3,9 +3,14 @@
 A strategy is a shared state plus two single-qubit observables per site.
 Each round the verifier picks one setting per site, the provers return
 +-1 outcomes drawn by the Born rule, and correlation estimates aggregate
-the outcome products.  Sampling is trajectory-based: optional local
-depolarizing noise applies an explicit random Pauli per site before the
-measurements, keeping the estimator unbiased at 2^n amplitudes of memory.
+the outcome products.  One sampler serves rounds and estimates: it rotates
+the state into every site's eigenbasis for the chosen settings and draws
+basis indices, whose bits are the per-site outcomes.  Local depolarizing
+noise (1 - p) rho + p I/2 is exact outcome replacement: with probability p
+a measured site's outcome becomes one of its two eigenvalues chosen
+uniformly, i.e. its eigenvalue index flips with probability p/2.  The
+channels act per site and unmeasured sites are traced out, so this is the
+exact joint law.
 """
 
 from __future__ import annotations
@@ -19,14 +24,6 @@ import numpy as np
 from .pauli import StabilizerCode
 from .poly import BellPolynomial, MeasurementAssignment, Monomial
 from .verify import Realization, canonical_realization, logical_basis
-
-_PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
 
 class EstimationError(ValueError):
     """Raised when a polynomial cannot be estimated from single-shot rounds."""
@@ -52,6 +49,9 @@ class Strategy:
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm {norm} != 1")
         self._rng = np.random.default_rng(self.seed)
+        # per site and setting: (ascending eigenvalues, eigenvector columns)
+        self._eigs = [[np.linalg.eigh(self.realization.obs(site, setting))
+                       for setting in (0, 1)] for site in range(1, n + 1)]
 
     @property
     def n(self) -> int:
@@ -69,52 +69,37 @@ class Strategy:
         return cls(state=state, realization=canonical_realization(asg), seed=seed)
 
 
-def _site_eigs(real: Realization) -> list[tuple[tuple[np.ndarray, np.ndarray],
-                                                tuple[np.ndarray, np.ndarray]]]:
-    """Per site and setting: (eigenvalues ascending, eigenvector columns)."""
-    out = []
-    for site in range(1, real.n + 1):
-        pair = []
-        for setting in (0, 1):
-            vals, vecs = np.linalg.eigh(real.obs(site, setting))
-            pair.append((vals.real, vecs))
-        out.append(tuple(pair))
-    return out
+def _born_indices(strategy: Strategy, settings: Sequence[int], shots: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Born-rule basis indices for `shots` rounds, site k measured in
+    setting settings[k - 1], and each site's ascending eigenvalues; bit
+    n - k of an index selects site k's outcome."""
+    n = strategy.n
+    psi = strategy.state.reshape((2,) * n)
+    outcome_vals = []
+    for k in range(n):
+        vals, vecs = strategy._eigs[k][settings[k]]
+        psi = np.moveaxis(np.tensordot(vecs.conj().T, psi, axes=([1], [k])), 0, k)
+        outcome_vals.append(vals)
+    probs = np.abs(psi.reshape(-1))**2
+    probs = probs / probs.sum()
+    return rng.choice(probs.size, size=shots, p=probs), outcome_vals
 
 
 def sample_round(strategy: Strategy, settings: Mapping[int, int],
                  rng: np.random.Generator | None = None) -> dict[int, int]:
-    """One verifier round: sequential projective measurement with collapse.
+    """One verifier round: a single Born-rule draw of every site's outcome.
 
-    Settings must cover every site; outcomes are +-1 per site.  The joint
-    distribution equals the spectral measure of the commuting product
-    observables, which the batched estimator reproduces.
+    Settings must cover every site; outcomes are +-1 per site.
     """
     n = strategy.n
     if set(settings) != set(range(1, n + 1)):
         raise ValueError("settings must cover every site exactly once")
     rng = rng if rng is not None else strategy._rng
-    eigs = _site_eigs(strategy.realization)
-    psi = strategy.state.reshape((2,) * n)
-    outcomes = {}
-    for site in range(1, n + 1):
-        vals, vecs = eigs[site - 1][settings[site]]
-        # rotate site axis into the observable eigenbasis
-        psi = np.moveaxis(np.tensordot(vecs.conj().T, psi, axes=([1], [site - 1])),
-                          0, site - 1)
-        amp = np.moveaxis(psi, site - 1, 0).reshape(2, -1)
-        p_hi = float(np.sum(np.abs(amp[1])**2))
-        pick = 1 if rng.random() < p_hi else 0
-        outcomes[site] = int(round(vals[pick]))
-        collapsed = np.zeros_like(amp)
-        collapsed[pick] = amp[pick]
-        collapsed /= math.sqrt(p_hi if pick else 1.0 - p_hi)
-        psi = np.moveaxis(collapsed.reshape((2,) + psi.shape[:site - 1]
-                                            + psi.shape[site:]), 0, site - 1)
-        # rotate back so later sites measure in the original frame
-        psi = np.moveaxis(np.tensordot(vecs, psi, axes=([1], [site - 1])),
-                          0, site - 1)
-    return outcomes
+    idx, vals = _born_indices(strategy, [settings[s] for s in range(1, n + 1)],
+                              1, rng)
+    return {s: int(round(vals[s - 1][(idx[0] >> (n - s)) & 1]))
+            for s in range(1, n + 1)}
 
 
 @dataclass
@@ -149,6 +134,10 @@ def _check_single_measurement(poly: BellPolynomial) -> list[tuple[Monomial, floa
 
 
 def _allocate(weights: Sequence[float], shots: int) -> list[int]:
+    """Split exactly `shots` proportionally to `weights`, at least one each."""
+    if shots < len(weights):
+        raise ValueError(f"shots {shots} below the {len(weights)} sampled "
+                         "monomials (each needs at least one)")
     total = sum(weights)
     raw = [shots * w / total for w in weights]
     alloc = [max(1, int(r)) for r in raw]
@@ -158,43 +147,31 @@ def _allocate(weights: Sequence[float], shots: int) -> list[int]:
                        reverse=True)
         for i in range(remainder):
             alloc[order[i % len(order)]] += 1
+    # the one-shot floors overshot: take the excess from the largest
+    for _ in range(-remainder):
+        alloc[alloc.index(max(alloc))] -= 1
     return alloc
 
 
-def _sample_products(state: np.ndarray, eigs, sites: tuple[int, ...],
+def _sample_products(strategy: Strategy, sites: tuple[int, ...],
                      settings: tuple[int, ...], shots: int,
-                     rng: np.random.Generator, noise_p: float,
-                     n: int) -> np.ndarray:
-    """Outcome products for `shots` rounds of one setting pattern."""
-    if noise_p > 0:
-        site_ps = np.array([1.0 - 3.0 * noise_p / 4.0] + [noise_p / 4.0] * 3)
-        patterns = rng.choice(4, size=(shots, n), p=site_ps).astype(np.uint8)
-        uniq, counts = np.unique(patterns, axis=0, return_counts=True)
-        chunks = []
-        for pattern, count in zip(uniq, counts):
-            noisy = state.reshape((2,) * n)
-            for k, g in enumerate(pattern):
-                if g:
-                    noisy = np.moveaxis(
-                        np.tensordot(_PAULIS[g], noisy, axes=([1], [k])), 0, k)
-            chunks.append(_sample_products(noisy.reshape(-1), eigs, sites,
-                                           settings, int(count), rng, 0.0, n))
-        return np.concatenate(chunks) if chunks else np.zeros(0)
+                     rng: np.random.Generator, noise_p: float) -> np.ndarray:
+    """Outcome products for `shots` rounds of one setting pattern.
+
+    Unmeasured sites take setting 0; their outcomes are never read.  The
+    noise draws follow the clean index draw, so p = 0 consumes the stream
+    exactly as a noiseless estimate does.
+    """
+    n = strategy.n
     full_settings = [0] * n
     for site, setting in zip(sites, settings):
         full_settings[site - 1] = setting
-    psi = state.reshape((2,) * n)
-    outcome_vals = []
-    for k in range(n):
-        vals, vecs = eigs[k][full_settings[k]]
-        psi = np.moveaxis(np.tensordot(vecs.conj().T, psi, axes=([1], [k])), 0, k)
-        outcome_vals.append(vals)
-    probs = np.abs(psi.reshape(-1))**2
-    probs = probs / probs.sum()
-    idx = rng.choice(probs.size, size=shots, p=probs)
+    idx, outcome_vals = _born_indices(strategy, full_settings, shots, rng)
     products = np.ones(shots)
     for site in sites:
         bit = (idx >> (n - site)) & 1
+        if noise_p > 0:
+            bit ^= rng.random(shots) < noise_p / 2
         products *= outcome_vals[site - 1][bit]
     return products
 
@@ -230,7 +207,6 @@ def estimate_bell(strategy: Strategy, poly: BellPolynomial, shots: int,
     else:
         raise ValueError(f"unknown allocation {allocation!r}")
     alloc = _allocate(weights, shots)
-    eigs = _site_eigs(strategy.realization)
     seeds = np.random.SeedSequence(strategy.seed).spawn(len(sampled))
     estimate = constant
     variance = 0.0
@@ -239,8 +215,7 @@ def estimate_bell(strategy: Strategy, poly: BellPolynomial, shots: int,
         rng = np.random.default_rng(seed)
         sites = tuple(s for s, _ in mono.factors)
         settings = tuple(word[0] for _, word in mono.factors)
-        products = _sample_products(strategy.state, eigs, sites, settings,
-                                    m, rng, noise_p, strategy.n)
+        products = _sample_products(strategy, sites, settings, m, rng, noise_p)
         mean = float(products.mean())
         var = float(products.var(ddof=1)) if m > 1 else 0.0
         estimate += coeff * mean

@@ -15,12 +15,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import (MAX_DENSE_DIM, PauliWord, StabilizerCode, apply_word,
-                    code_preset, codespace_basis)
+from .pauli import (PauliWord, StabilizerCode, apply_word, code_preset,
+                    codespace_basis)
 from .poly import BellPolynomial, DIRECT, MeasurementAssignment
 from .compile import CompiledInequality, SOSCertificate, build_bell
 
 EIG_CLUSTER_TOL = 1e-8
+
+# A dim x dim complex matrix takes 16 dim^2 bytes, and materialize plus
+# max_eig keep up to five alive at once (the sum, a term's kron product and
+# its scaled copy; then the hermitized copy, eigh's eigenvectors and its
+# workspace).  2^12 gives 5 x 256 MiB = 1.25 GiB; 2^13 would need 5 GiB.
+MAX_MATRIX_DIM = 2**12
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -56,7 +62,7 @@ class Realization:
         return self.observables[site - 1][0].shape[0]
 
     def total_dim(self) -> int:
-        return int(np.prod([self.dim(s) for s in range(1, self.n + 1)]))
+        return math.prod(self.dim(s) for s in range(1, self.n + 1))
 
     def obs(self, site: int, setting: int) -> np.ndarray:
         return self.observables[site - 1][setting]
@@ -101,9 +107,9 @@ def materialize(poly: BellPolynomial, real: Realization) -> np.ndarray:
     if poly.max_site() > real.n:
         raise ValueError(f"polynomial touches site {poly.max_site()} "
                          f"but realization has {real.n}")
-    if real.n > 14 or real.total_dim() > MAX_DENSE_DIM:
-        raise ValueError(f"dimension {real.total_dim()} exceeds cap {MAX_DENSE_DIM}")
     dim = real.total_dim()
+    if dim > MAX_MATRIX_DIM:
+        raise ValueError(f"dimension {dim} exceeds dense matrix cap {MAX_MATRIX_DIM}")
     out = np.zeros((dim, dim), dtype=complex)
     eyes = [np.eye(real.dim(s), dtype=complex) for s in range(1, real.n + 1)]
     for mono, coeff in poly.terms():

@@ -135,6 +135,17 @@ class TestSimulate:
         assert lines[0] == "p,shots,estimate,stderr"
         assert len(lines) == 4
 
+    def test_bad_shot_counts_exit_2(self, capsys):
+        # the five-qubit inequality samples seven monomials
+        base = ["simulate", "estimate", "--code", "five_qubit", "--seed", "1"]
+        assert run(base + ["--shots", "0"]) == 2
+        assert run(["simulate", "noise-sweep", "--code", "five_qubit",
+                    "--seed", "1", "--shots", "-5"]) == 2
+        assert run(base + ["--shots", "6"]) == 2
+        assert "--shots 6 below 7" in capsys.readouterr().err
+        assert run(base + ["--shots", "7"]) == 0
+        assert json.loads(capsys.readouterr().out)["shots"] == 7
+
     def test_byte_identical_reruns(self, capsys):
         args = ["simulate", "estimate", "--code", "five_qubit",
                 "--shots", "5000", "--seed", "2024"]

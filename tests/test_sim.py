@@ -5,9 +5,9 @@ import pytest
 
 from bellcert.compile import build_bell, chsh_polynomial, default_certificate
 from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
-from bellcert.sim import (EstimationError, Strategy, estimate_bell,
+from bellcert.sim import (EstimationError, Strategy, _allocate, estimate_bell,
                           noise_sweep, sample_round)
-from bellcert.verify import Realization, canonical_realization
+from bellcert.verify import Realization, canonical_realization, materialize
 
 SQRT2 = math.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -102,6 +102,22 @@ class TestEstimate:
         shots = {tuple(p["settings"]): p["shots"] for p in report.per_setting}
         assert all(m == 1000 for m in shots.values())
 
+    def test_allocation_honours_shot_budget(self):
+        assert _allocate([5, 1, 1, 1], 5) == [2, 1, 1, 1]
+        assert _allocate([2, 1, 1], 8) == [4, 2, 2]
+        with pytest.raises(ValueError, match="sampled monomials"):
+            _allocate([1, 1, 1], 2)
+        skewed = BellPolynomial({
+            Monomial.from_dict({1: (A0,), 2: (A0,)}): 5.0,
+            Monomial.from_dict({1: (A0,), 2: (A1,)}): 1.0,
+            Monomial.from_dict({1: (A1,), 2: (A0,)}): 1.0,
+            Monomial.from_dict({1: (A1,), 2: (A1,)}): 1.0})
+        report = estimate_bell(bell_pair_strategy(seed=2), skewed, 5)
+        assert report.shots == 5
+        assert sum(p["shots"] for p in report.per_setting) == 5
+        with pytest.raises(ValueError, match="sampled monomials"):
+            estimate_bell(bell_pair_strategy(seed=2), skewed, 3)
+
     def test_consistency_over_seeds(self):
         # the estimate stays within 5 standard errors across repetitions
         exact = 2 * SQRT2
@@ -138,6 +154,20 @@ class TestNoise:
         drop = rows[0].estimate - rows[1].estimate
         sigma = math.hypot(rows[0].stderr, rows[1].stderr)
         assert drop > 5 * sigma
+
+    def test_rows_match_exact_depolarized_value(self, five_qubit):
+        # per-site depolarizing noise scales each monomial by (1 - p)^|supp|
+        compiled = build_bell(default_certificate(five_qubit), five_qubit)
+        strat = Strategy.from_code(five_qubit, seed=31)
+        real = canonical_realization(compiled.assignment)
+        clean = [(coeff, len(mono.factors),
+                  np.vdot(strat.state, materialize(BellPolynomial({mono: 1.0}),
+                                                   real) @ strat.state).real)
+                 for mono, coeff in compiled.poly.terms()]
+        grid = [0.05, 0.1, 0.5]
+        for row in noise_sweep(strat, compiled.poly, grid, 20_000):
+            exact = sum(c * (1 - row.p)**k * v for c, k, v in clean)
+            assert abs(row.estimate - exact) <= 5 * row.stderr
 
     def test_invalid_p_rejected(self, five_qubit):
         compiled = build_bell(default_certificate(five_qubit), five_qubit)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,9 +68,17 @@ class TestMaterialize:
                       - materialize(p, real) - materialize(q, real)).max() <= 1e-12
 
     def test_dimension_guard(self):
-        big = MeasurementAssignment.build(15, set())
-        with pytest.raises(ValueError):
-            materialize(BellPolynomial(), canonical_realization(big))
+        # refused before the dim x dim matrix is allocated
+        for n in (14, 15, 64):
+            big = canonical_realization(MeasurementAssignment.build(n, set()))
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="exceeds"):
+                    materialize(BellPolynomial(), big)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
 
 class TestMaxEig:
