@@ -1,8 +1,9 @@
 """Command-line pipeline: codes -> bell -> verify -> selftest -> simulate.
 
-Exit codes: 0 success/pass, 1 internal or failed verification, 2 usage,
-3 deduction unknown, 4 deduction contradiction, 5 capability (polynomial
-not estimable by single-measurement rounds).
+Exit codes: 0 success/pass, 1 internal or failed verification, 2 usage
+(including inputs above a size cap), 3 deduction unknown, 4 deduction
+contradiction, 5 capability (polynomial not estimable by single-measurement
+rounds).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from pathlib import Path
 
 from . import compile as compiler
 from . import engine, sim, verify
-from .pauli import CodeValidationError, PRESET_NAMES, StabilizerCode, code_preset, load_code
+from .pauli import (CodeValidationError, PRESET_NAMES, SizeLimitError,
+                    StabilizerCode, code_preset, load_code)
 from .poly import BellPolynomial
 
 EXIT_OK = 0
@@ -178,7 +180,7 @@ def cmd_verify(args) -> int:
         if thetas and code is not None:
             rows = verify.tilt_sweep(code, thetas, alpha0=args.alpha0 or 1.0,
                                      alphas=_parse_floats(args.alpha) if args.alpha else None,
-                                     mu=args.mu)
+                                     mu=args.mu, extras=not args.no_extras)
             csv = "theta,max_eig,fidelity\n" + "\n".join(
                 f"{r['theta']:.10g},{r['max_eig']:.10g},{r['fidelity']:.10g}"
                 for r in rows) + "\n"
@@ -363,7 +365,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, KeyError, CodeValidationError,
+    except (UsageError, KeyError, CodeValidationError, SizeLimitError,
             compiler.CertificateError, engine.ProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -52,10 +52,6 @@ def xz_word_from_pauli(word: PauliWord) -> XZWord:
     return tuple(letters)
 
 
-def render_xz_word(word: XZWord) -> str:
-    return "".join(f"{sym}{site}" for site, sym in word) or "I"
-
-
 @dataclass(frozen=True)
 class SOSCertificate:
     """Weights and operator list for a sum-of-squares Bell certificate."""

@@ -14,8 +14,9 @@ qudit generalization fail: two derivations can assign one site exponents
 e and -e, a contradiction unless omega = omega^-1.
 
 Site words at non-pair sites are free products of X/Z runs (no commutation
-is assumed inside a site); pair-site words normalize to X-power-then-Z-power
-using the hypothesis identity.
+is assumed inside a site); pair-site words normalize to the Weyl order
+X^a Z^b, with a and b the summed X and Z powers, using the hypothesis
+identity.
 """
 
 from __future__ import annotations
@@ -121,53 +122,31 @@ class Budget:
 #     operator(factors) == omega^ph * operator(word).
 # ---------------------------------------------------------------------------
 
-def _merge_runs(runs: list[tuple[str, int]], q: int, reduce_mod: bool,
-                hermitian: bool) -> list[tuple[str, int]]:
-    out: list[tuple[str, int]] = []
-    for sym, power in runs:
-        if hermitian and power < 0:
-            power = -power
-        if reduce_mod:
-            power %= q
-        if power == 0:
-            continue
-        if out and out[-1][0] == sym:
-            prev = out.pop()[1] + power
-            if hermitian and prev < 0:
-                prev = -prev
-            if reduce_mod:
-                prev %= q
-            if prev:
-                out.append((sym, prev))
-        else:
-            out.append((sym, power))
-    return out
-
-
 def _normalize_site(runs: list[tuple[str, int]], site: int,
                     problem: Problem) -> tuple[SiteRuns, int]:
     """Site-local normal form and the omega-phase extracted from it."""
     q = problem.q
-    is_pair = problem.is_pair(site)
-    hermitian = (q == 2)
-    reduce_mod = not is_pair  # X^q = Z^q = 1 holds as operators off the pair set
-    phase = 0
-    runs = _merge_runs(list(runs), q, reduce_mod, hermitian)
-    if is_pair:
-        # Sort X runs before Z runs; each adjacent (Z^b, X^a) swap extracts
-        # omega^{ab} via the operator identity Z X = omega X Z.
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(runs) - 1):
-                (s1, p1), (s2, p2) = runs[i], runs[i + 1]
-                if s1 == "Z" and s2 == "X":
-                    phase += p1 * p2
-                    runs[i], runs[i + 1] = runs[i + 1], runs[i]
-                    changed = True
-            if changed:
-                runs = _merge_runs(runs, q, reduce_mod, hermitian)
-    return tuple(runs), phase % q
+    if problem.is_pair(site):
+        # Weyl order X^a Z^b: moving every X run left past the Z runs before
+        # it extracts omega^{b a} per (Z^b, X^a) pair via Z X = omega X Z.
+        x_total = z_total = phase = 0
+        for sym, power in runs:
+            if sym == "X":
+                x_total += power
+                phase += z_total * power
+            else:
+                z_total += power
+        return tuple((sym, power) for sym, power in
+                     (("X", x_total), ("Z", z_total)) if power), phase % q
+    # X^q = Z^q = 1 holds as operators off the pair set; runs stay in order
+    merged: list[tuple[str, int]] = []
+    for sym, power in runs:
+        if merged and merged[-1][0] == sym:
+            power += merged.pop()[1]
+        power %= q
+        if power:
+            merged.append((sym, power))
+    return tuple(merged), 0
 
 
 def normalize(factors: Iterable[tuple[int, str, int]],
@@ -348,10 +327,6 @@ class DeduceResult:
     rounds: int
     reason: str = ""
 
-    @property
-    def proved(self) -> bool:
-        return self.status == PROVED
-
 
 class _Engine:
     def __init__(self, problem: Problem, budget: Budget):
@@ -371,19 +346,16 @@ class _Engine:
     def _rewrite(self, word: Word, phase: int) -> tuple[Word, int]:
         """Cancel fact words appearing as per-site suffixes (valid adjacent
         to the state, which every stored fact is)."""
-        changed = True
-        while changed and word:
-            changed = False
+        while word:
             sites = frozenset(site for site, _ in word)
             for fact in self.facts:
-                if not fact.word or not fact.site_set <= sites:
-                    continue
-                split = _suffix_split(word, fact.word)
-                if split is None or split == word:
-                    continue
-                word = split
-                phase = (phase - fact.phase) % self.q
-                changed = True
+                if fact.site_set <= sites:
+                    split = _suffix_split(word, fact.word)
+                    if split is not None:
+                        word = split
+                        phase = (phase - fact.phase) % self.q
+                        break
+            else:
                 break
         return word, phase
 
@@ -517,7 +489,7 @@ class _Engine:
                 if old.letters <= new.letters:
                     continue
                 split = _suffix_split(old.word, new.word)
-                if split is None or split == old.word:
+                if split is None:
                     continue
                 added = self.add_fact(split, old.phase - new.phase, "reduce",
                                       (old.idx, new.idx))
@@ -545,8 +517,10 @@ class _Engine:
 
         A fact whose site-m part is a single X^a run isolates
         X_m^{-a} psi = omega^{-phase} * rest psi.  Off the pair set the
-        operator identity X^q = 1 folds -a mod q; on pair sites (q > 2)
-        only literal powers +-1 qualify since no power identity is known.
+        operator identity X^q = 1 folds -a mod q (for q = 2 every power is
+        1); on pair sites (q > 2) only literal powers +-1 qualify since no
+        power identity is known, and q = 2 pair sites never qualify, their
+        symbols being Hermitian but not unitary.
         """
         out: dict[int, dict[str, list[tuple[int, Fact, Word]]]] = {}
         for fact in self.facts:
@@ -554,17 +528,10 @@ class _Engine:
                 if len(runs) != 1:
                     continue
                 sym, power = runs[0]
-                if self.q == 2:
-                    if self.problem.is_pair(site) or power != 1:
+                if self.problem.is_pair(site):
+                    if self.q == 2 or power not in (1, -1):
                         continue
-                    solved = 1
-                elif self.problem.is_pair(site):
-                    if power == -1:
-                        solved = 1
-                    elif power == 1:
-                        solved = -1
-                    else:
-                        continue
+                    solved = -power
                 else:
                     residue = (-power) % self.q
                     if residue == 1:

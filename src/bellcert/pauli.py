@@ -25,6 +25,10 @@ class CodeValidationError(ValueError):
     """Raised when a stabilizer code document violates an invariant."""
 
 
+class SizeLimitError(ValueError):
+    """Raised, before any large allocation, when an input exceeds a size cap."""
+
+
 def _as_expvec(values: Sequence[int], n: int, q: int, name: str) -> tuple[int, ...]:
     vec = tuple(int(v) % q for v in values)
     if len(vec) != n:
@@ -114,16 +118,13 @@ class PauliWord:
     def weight(self) -> int:
         return sum(1 for x, z in zip(self.x_exp, self.z_exp) if x or z)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(k + 1 for k in range(self.n) if self.x_exp[k] or self.z_exp[k])
-
     # -- materialization -------------------------------------------------
 
     def matrix(self) -> np.ndarray:
         """Dense matrix of dimension q^n (exact up to float rounding)."""
         dim = self.q**self.n
         if dim > MAX_DENSE_DIM:
-            raise ValueError(f"dimension {dim} exceeds dense cap {MAX_DENSE_DIM}")
+            raise SizeLimitError(f"dimension {dim} exceeds dense cap {MAX_DENSE_DIM}")
         return apply_word(self, np.eye(dim, dtype=complex))
 
     def __str__(self) -> str:
@@ -200,13 +201,14 @@ def codespace_basis(code: StabilizerCode) -> np.ndarray:
 
     Seeded random probes pass through the product projector
     prod_i (1/q) sum_t S_i^t, m*(q-1) word applications in all, and an SVD
-    orthonormalizes the result.  Raises ValueError when the projected rank
-    is not q^k or a basis column is not fixed by some generator, which is
-    how generators that do not commute, or whose q-th power is not I, show.
+    orthonormalizes the result.  Raises SizeLimitError above MAX_DENSE_DIM,
+    and ValueError when the projected rank is not q^k or a basis column is
+    not fixed by some generator, which is how generators that do not
+    commute, or whose q-th power is not I, show.
     """
     q, dim, want = code.q, code.q**code.n, code.q**code.k
     if dim > MAX_DENSE_DIM:
-        raise ValueError(f"dimension {dim} exceeds dense cap {MAX_DENSE_DIM}")
+        raise SizeLimitError(f"dimension {dim} exceeds dense cap {MAX_DENSE_DIM}")
     rng = np.random.default_rng(0)
     block = rng.normal(size=(dim, want + 8)) + 1j * rng.normal(size=(dim, want + 8))
     for g in code.generators:

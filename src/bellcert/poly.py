@@ -65,9 +65,6 @@ class Monomial:
                 return w
         return ()
 
-    def sites(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.factors)
-
     @property
     def is_identity(self) -> bool:
         return not self.factors

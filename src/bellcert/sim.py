@@ -21,9 +21,16 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .pauli import StabilizerCode
+from .pauli import SizeLimitError, StabilizerCode
 from .poly import BellPolynomial, MeasurementAssignment, Monomial
 from .verify import Realization, canonical_realization, logical_basis
+
+# One monomial's draw keeps about 33 bytes per shot alive (the int64 index
+# array, its per-site bits, the float64 products and, under noise, the flip
+# draws; tracemalloc peak at 1e6 shots, p = 0 and 0.1).  2^25 shots take
+# 2^25 x 33 B = 1.1 GB, in line with verify.MAX_MATRIX_DIM's 1.25 GiB.
+MAX_SHOTS = 2**25
+
 
 class EstimationError(ValueError):
     """Raised when a polynomial cannot be estimated from single-shot rounds."""
@@ -188,6 +195,8 @@ def estimate_bell(strategy: Strategy, poly: BellPolynomial, shots: int,
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if shots > MAX_SHOTS:
+        raise SizeLimitError(f"shots {shots} exceed the cap {MAX_SHOTS}")
     if not 0.0 <= noise_p <= 1.0:
         raise ValueError(f"noise probability {noise_p} outside [0, 1]")
     terms = _check_single_measurement(poly)
@@ -237,10 +246,6 @@ class SweepPoint:
     shots: int
     estimate: float
     stderr: float
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "shots": self.shots,
-                "estimate": self.estimate, "stderr": self.stderr}
 
 
 def noise_sweep(strategy: Strategy, poly: BellPolynomial,

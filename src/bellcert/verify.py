@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import (PauliWord, StabilizerCode, apply_word, code_preset,
-                    codespace_basis)
+from .pauli import (PauliWord, SizeLimitError, StabilizerCode, apply_word,
+                    code_preset, codespace_basis)
 from .poly import BellPolynomial, DIRECT, MeasurementAssignment
 from .compile import CompiledInequality, SOSCertificate, build_bell
 
@@ -109,7 +109,8 @@ def materialize(poly: BellPolynomial, real: Realization) -> np.ndarray:
                          f"but realization has {real.n}")
     dim = real.total_dim()
     if dim > MAX_MATRIX_DIM:
-        raise ValueError(f"dimension {dim} exceeds dense matrix cap {MAX_MATRIX_DIM}")
+        raise SizeLimitError(
+            f"dimension {dim} exceeds dense matrix cap {MAX_MATRIX_DIM}")
     out = np.zeros((dim, dim), dtype=complex)
     eyes = [np.eye(real.dim(s), dtype=complex) for s in range(1, real.n + 1)]
     for mono, coeff in poly.terms():
@@ -297,14 +298,15 @@ def check_selftest(cert: SOSCertificate, code: StabilizerCode,
 def tilt_sweep(code: StabilizerCode, thetas: Iterable[float],
                alpha0: float = 1.0,
                alphas: Sequence[float] | None = None,
-               mu: float = math.pi / 4) -> list[dict]:
+               mu: float = math.pi / 4,
+               extras: bool = True) -> list[dict]:
     """Rows (theta, max_eig, fidelity) for a sweep of tilt angles."""
     from .compile import default_certificate
 
     rows = []
     for theta in thetas:
         cert = default_certificate(code, theta=theta, alpha0=alpha0,
-                                   alphas=alphas, mu=mu)
+                                   alphas=alphas, mu=mu, extras=extras)
         report = check_selftest(cert, code)
         rows.append({
             "theta": float(theta),
@@ -360,7 +362,8 @@ def classical_bound(poly: BellPolynomial) -> float:
     if n == 0:
         return poly.constant_part()
     if n > 10:
-        raise ValueError(f"enumeration over 2^{2 * n} assignments refused (n > 10)")
+        raise SizeLimitError(
+            f"enumeration over 2^{2 * n} assignments refused (n > 10)")
     count = 1 << (2 * n)
     strategies = np.arange(count, dtype=np.uint32)
     total = np.full(count, 0.0)

@@ -3,7 +3,11 @@ import math
 
 import pytest
 
+from bellcert import compile as compiler
 from bellcert.cli import main
+from bellcert.pauli import code_preset, load_code
+from bellcert.poly import A0, BellPolynomial, Monomial
+from bellcert.sim import MAX_SHOTS
 
 
 def run(argv):
@@ -23,6 +27,11 @@ class TestCodes:
 
     def test_unknown_code_exits_2(self, capsys):
         assert run(["codes", "show", "--code", "bogus"]) == 2
+
+    def test_show_json_round_trips(self, capsys):
+        assert run(["codes", "show", "--code", "five_qubit", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert load_code(doc) == code_preset("five_qubit")
 
 
 class TestBell:
@@ -67,6 +76,22 @@ class TestVerify:
         assert run(["verify", "classical", "--code", "five_qubit",
                     "--poly-file", str(poly)]) == 0
 
+    def test_oversized_poly_file_exits_2(self, tmp_path, capsys):
+        poly = tmp_path / "p.json"
+        site13 = BellPolynomial({Monomial.from_dict({13: (A0,)}): 1.0})
+        poly.write_text(compiler.emit(site13, "json"))
+        assert run(["verify", "classical", "--poly-file", str(poly)]) == 2
+        assert ("error: dimension 8192 exceeds dense matrix cap 4096"
+                in capsys.readouterr().err)
+
+    def test_code_file_matches_preset(self, tmp_path, capsys):
+        doc = tmp_path / "code.json"
+        doc.write_text(json.dumps(code_preset("five_qubit").to_json()))
+        assert run(["verify", "all", "--code", "five_qubit"]) == 0
+        from_preset = capsys.readouterr().out
+        assert run(["verify", "all", "--code-file", str(doc)]) == 0
+        assert capsys.readouterr().out == from_preset
+
     def test_all_materializes_once(self, capsys, monkeypatch):
         from bellcert import verify
         calls = []
@@ -88,6 +113,16 @@ class TestVerify:
         assert out.startswith("theta,max_eig,fidelity")
         assert len(out.strip().splitlines()) == 3
 
+    def test_tilt_sweep_honours_no_extras(self, capsys):
+        base = ["verify", "spectral", "--code", "steane", "--alpha0", "1",
+                "--no-extras"]
+        assert run(base + ["--theta", "0.3"]) == 0
+        value = json.loads(capsys.readouterr().out)["checks"]["spectral"][
+            "max_eigenvalue"]
+        assert run(base + ["--sweep", "0.3"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert float(row[1]) == pytest.approx(value, abs=1e-9)
+
 
 class TestSelftest:
     def test_deduce_exit_codes(self, capsys):
@@ -106,6 +141,16 @@ class TestSelftest:
         assert run(["selftest", "search", "--code", "five_qubit"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [1] in doc["proved_subsets"]
+
+    def test_deduce_json(self, capsys):
+        assert run(["selftest", "deduce", "--code", "five_qubit", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "proved"
+
+    def test_search_transcripts(self, capsys):
+        assert run(["selftest", "search", "--code", "five_qubit",
+                    "--transcripts"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["first_transcripts"]["1"]
 
     def test_transcript_file(self, tmp_path):
         out = tmp_path / "t.txt"
@@ -145,6 +190,23 @@ class TestSimulate:
         assert "--shots 6 below 7" in capsys.readouterr().err
         assert run(base + ["--shots", "7"]) == 0
         assert json.loads(capsys.readouterr().out)["shots"] == 7
+
+    def test_shots_above_cap_exit_2(self, capsys):
+        assert run(["simulate", "estimate", "--code", "five_qubit", "--seed",
+                    "1", "--shots", str(MAX_SHOTS + 1)]) == 2
+        assert "exceed the cap" in capsys.readouterr().err
+
+    def test_poly_file_matches_code_run(self, tmp_path, capsys):
+        poly = tmp_path / "p.json"
+        assert run(["bell", "build", "--code", "five_qubit",
+                    "--out", str(poly)]) == 0
+        capsys.readouterr()
+        args = ["simulate", "estimate", "--code", "five_qubit",
+                "--shots", "5000", "--seed", "7"]
+        assert run(args) == 0
+        from_code = capsys.readouterr().out
+        assert run(args + ["--poly-file", str(poly)]) == 0
+        assert capsys.readouterr().out == from_code
 
     def test_byte_identical_reruns(self, capsys):
         args = ["simulate", "estimate", "--code", "five_qubit",

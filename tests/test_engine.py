@@ -1,8 +1,12 @@
+from functools import reduce
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellcert.engine import (CONTRADICTION, PROVED, UNKNOWN, Budget, Problem,
-                             deduce, problem_for_code, search_subsets,
-                             transcript_render)
+                             deduce, normalize, problem_for_code,
+                             search_subsets, transcript_render)
 from bellcert.pauli import code_preset
 from bellcert.verify import model_check_deduction
 
@@ -159,3 +163,48 @@ class TestSearch:
         big = dataclasses.replace(code)  # n=9 fine; fake larger limit check
         with pytest.raises(Exception):
             search_subsets(big, exhaustive_limit=8)
+
+
+@st.composite
+def _factor_lists(draw):
+    """A problem with random pair sites and one random factor list on it."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    pair = draw(st.sets(st.integers(1, n)))
+    factors = []
+    for _ in range(draw(st.integers(0, 8))):
+        site = draw(st.integers(1, n))
+        low = 1 if q == 2 and site in pair else -3  # as Problem requires
+        factors.append((site, draw(st.sampled_from("XZ")),
+                        draw(st.integers(low, 3))))
+    problem = Problem(n=n, q=q, pair_sites=frozenset(pair),
+                      operators=(tuple(factors),))
+    return problem, problem.operators[0]
+
+
+def _operator(factors, n, q):
+    """Factors as a matrix with q-dimensional shift X and clock Z, which
+    satisfy Z X = omega X Z and X^q = Z^q = 1."""
+    omega = np.exp(2j * np.pi / q)
+    base = {"X": np.roll(np.eye(q), 1, axis=0),
+            "Z": np.diag(omega ** np.arange(q))}
+    sites = [np.eye(q, dtype=complex) for _ in range(n)]
+    for site, sym, power in factors:
+        sites[site - 1] = sites[site - 1] @ np.linalg.matrix_power(
+            base[sym], power % q)
+    return reduce(np.kron, sites)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_factor_lists())
+def test_normalize_matches_shift_and_clock(case):
+    problem, factors = case
+    word, ph = normalize(factors, problem)
+    for site, runs in word:
+        if problem.is_pair(site):  # Weyl order X^a Z^b
+            assert [sym for sym, _ in runs] in (["X"], ["Z"], ["X", "Z"])
+    q = problem.q
+    omega = np.exp(2j * np.pi / q)
+    flat = [(site, sym, power) for site, runs in word for sym, power in runs]
+    assert np.allclose(_operator(factors, problem.n, q),
+                       omega**ph * _operator(flat, problem.n, q), atol=1e-12)

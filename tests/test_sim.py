@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bellcert.compile import build_bell, chsh_polynomial, default_certificate
 from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
-from bellcert.sim import (EstimationError, Strategy, _allocate, estimate_bell,
-                          noise_sweep, sample_round)
+from bellcert.pauli import SizeLimitError
+from bellcert.sim import (MAX_SHOTS, EstimationError, Strategy, _allocate,
+                          estimate_bell, noise_sweep, sample_round)
 from bellcert.verify import Realization, canonical_realization, materialize
 
 SQRT2 = math.sqrt(2)
@@ -117,6 +119,18 @@ class TestEstimate:
         assert sum(p["shots"] for p in report.per_setting) == 5
         with pytest.raises(ValueError, match="sampled monomials"):
             estimate_bell(bell_pair_strategy(seed=2), skewed, 3)
+
+    def test_shot_cap_refused_before_drawing(self):
+        strat = bell_pair_strategy(seed=1)
+        for shots in (MAX_SHOTS + 1, 2_000_000_000):
+            tracemalloc.start()
+            try:
+                with pytest.raises(SizeLimitError, match="exceed the cap"):
+                    estimate_bell(strat, chsh_polynomial(), shots, noise_p=0.1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
     def test_consistency_over_seeds(self):
         # the estimate stays within 5 standard errors across repetitions
