@@ -18,7 +18,7 @@ from . import compile as compiler
 from . import engine, sim, verify
 from .pauli import (CodeValidationError, PRESET_NAMES, SizeLimitError,
                     StabilizerCode, code_preset, load_code)
-from .poly import BellPolynomial
+from .poly import BellPolynomial, MeasurementAssignment
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -47,11 +47,7 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _emit_json(doc, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -62,32 +58,43 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _load_code_arg(args) -> StabilizerCode:
-    if getattr(args, "code_file", None):
+    if args.code_file:
         return load_code(json.loads(Path(args.code_file).read_text()))
-    if getattr(args, "code", None):
+    if args.code:
         return code_preset(args.code)
     raise UsageError("one of --code or --code-file is required")
 
 
-def _certificate(args, code: StabilizerCode) -> compiler.SOSCertificate:
-    alphas = _parse_floats(args.alpha) if args.alpha else None
-    return compiler.default_certificate(
-        code,
-        theta=args.theta,
-        alpha0=args.alpha0,
-        alphas=alphas,
-        mu=args.mu,
-        extras=not args.no_extras,
-    )
+def _inputs(args):
+    """(code, compiled, poly) a command acts on: code is None for the CHSH
+    fixture or a bare --poly-file, compiled is None for any --poly-file."""
+    poly_file = getattr(args, "poly_file", None)
+    code = None
+    # a lone --poly-file needs no code; with neither, _load_code_arg refuses
+    if args.code != "chsh" and (args.code or args.code_file or not poly_file):
+        code = _load_code_arg(args)
+    if poly_file:
+        return code, None, compiler.parse(Path(poly_file).read_text())
+    if code is None:
+        compiled = compiler.build_bell(compiler.chsh_certificate())
+    else:
+        cert = compiler.default_certificate(
+            code, theta=args.theta, alpha0=args.alpha0,
+            alphas=_parse_floats(args.alpha) if args.alpha else None,
+            mu=args.mu, extras=not args.no_extras)
+        compiled = compiler.build_bell(cert, code)
+    return code, compiled, compiled.poly
 
 
-def _compiled_from_args(args) -> compiler.CompiledInequality:
-    if getattr(args, "code", None) == "chsh":
-        cert = compiler.chsh_certificate()
-        return compiler.build_bell(cert)
-    code = _load_code_arg(args)
-    cert = _certificate(args, code)
-    return compiler.build_bell(cert, code)
+def _spectrum(poly: BellPolynomial,
+              bound: float | None = None) -> verify.SpectralReport:
+    """Top of the spectrum at the canonical realization named by poly.meta."""
+    meta = poly.meta
+    asg = MeasurementAssignment.build(int(meta.get("n") or poly.max_site()),
+                                      meta.get("pair_sites", ()),
+                                      float(meta.get("mu", math.pi / 4)))
+    real = verify.canonical_realization(asg)
+    return verify.max_eig(verify.materialize(poly, real), bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +127,7 @@ def cmd_codes(args) -> int:
 
 
 def cmd_bell(args) -> int:
-    compiled = _compiled_from_args(args)
+    _, compiled, _ = _inputs(args)
     doc = compiler.emit(compiled.poly, "json")
     if args.out:
         Path(args.out).write_text(doc + "\n")
@@ -130,45 +137,14 @@ def cmd_bell(args) -> int:
     return EXIT_OK
 
 
-def _spectral_report(compiled: compiler.CompiledInequality,
-                     code: StabilizerCode | None) -> dict:
-    if code is not None:
-        report = verify.check_selftest(compiled.certificate, code,
-                                       compiled=compiled)
-        return report.to_json()
-    real = verify.canonical_realization(compiled.assignment)
-    spec = verify.max_eig(verify.materialize(compiled.poly, real),
-                          bound=compiled.bound)
-    doc = spec.to_json()
-    doc["passed"] = abs(spec.max_eigenvalue - compiled.bound) <= 1e-8
-    return doc
-
-
 def cmd_verify(args) -> int:
-    poly_file = getattr(args, "poly_file", None)
-    code = None
-    if args.code and args.code != "chsh":
-        code = _load_code_arg(args)
-    elif args.code_file:
-        code = _load_code_arg(args)
-
-    if poly_file:
-        poly = compiler.parse(Path(poly_file).read_text())
-        compiled = None
-    else:
-        if args.code == "chsh":
-            compiled = compiler.build_bell(compiler.chsh_certificate())
-        elif code is not None:
-            compiled = compiler.build_bell(_certificate(args, code), code)
-        else:
-            raise UsageError("verify needs --code/--code-file or --poly-file")
-        poly = compiled.poly
+    if args.poly_file and args.check != "classical":
+        raise UsageError(f"{args.check} verification needs certificate "
+                         "flags, not --poly-file")
+    code, compiled, poly = _inputs(args)
 
     checks: dict[str, dict] = {}
     if args.check in ("sos", "all"):
-        if compiled is None:
-            raise UsageError("sos verification needs certificate flags, "
-                             "not --poly-file")
         ok, residual = compiler.verify_sos(compiled.certificate, code,
                                            compiled=compiled)
         checks["sos"] = {"passed": bool(ok),
@@ -177,26 +153,30 @@ def cmd_verify(args) -> int:
                          "reduced_form": compiled.reduced_form}
     if args.check in ("spectral", "all"):
         thetas = _parse_floats(args.sweep) if args.sweep else None
-        if thetas and code is not None:
+        if thetas:
+            if code is None:
+                raise UsageError("--sweep needs --code or --code-file")
             rows = verify.tilt_sweep(code, thetas, alpha0=args.alpha0 or 1.0,
-                                     alphas=_parse_floats(args.alpha) if args.alpha else None,
+                                     alphas=compiled.certificate.alphas,
                                      mu=args.mu, extras=not args.no_extras)
             csv = "theta,max_eig,fidelity\n" + "\n".join(
                 f"{r['theta']:.10g},{r['max_eig']:.10g},{r['fidelity']:.10g}"
                 for r in rows) + "\n"
             _write_text(csv, args.out)
             return EXIT_OK
-        if compiled is None:
-            raise UsageError("spectral verification of a bare polynomial "
-                             "file needs --code for the codespace checks")
-        checks["spectral"] = _spectral_report(compiled, code)
+        if code is not None:
+            checks["spectral"] = verify.check_selftest(
+                compiled.certificate, code, compiled=compiled).to_json()
+        else:
+            spec = _spectrum(poly, bound=compiled.bound)
+            checks["spectral"] = {
+                **spec.to_json(),
+                "passed": abs(spec.max_eigenvalue - compiled.bound) <= 1e-8}
     if args.check in ("classical", "all"):
         if "spectral" in checks:
             quantum = checks["spectral"]["max_eigenvalue"]
         else:
-            real = verify.canonical_realization(
-                compiled.assignment if compiled else _poly_assignment(poly))
-            quantum = verify.max_eig(verify.materialize(poly, real)).max_eigenvalue
+            quantum = _spectrum(poly).max_eigenvalue
         classical = verify.classical_bound(poly)
         checks["classical"] = {
             "classical_bound": classical,
@@ -207,16 +187,6 @@ def cmd_verify(args) -> int:
     passed = all(c.get("passed", False) for c in checks.values())
     _emit_json({"checks": checks, "passed": passed}, args.out)
     return EXIT_OK if passed else EXIT_FAIL
-
-
-def _poly_assignment(poly: BellPolynomial):
-    from .poly import MeasurementAssignment
-
-    meta = poly.meta
-    n = int(meta.get("n") or poly.max_site())
-    pair = meta.get("pair_sites", ())
-    mu = float(meta.get("mu", math.pi / 4))
-    return MeasurementAssignment.build(n, pair, mu)
 
 
 def cmd_selftest(args) -> int:
@@ -257,12 +227,9 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    code = _load_code_arg(args)
-    if args.poly_file:
-        poly = compiler.parse(Path(args.poly_file).read_text())
-    else:
-        compiled = compiler.build_bell(_certificate(args, code), code)
-        poly = compiled.poly
+    code, _, poly = _inputs(args)
+    if code is None:
+        raise UsageError("simulate needs --code (not chsh) or --code-file")
     needed = max(1, sum(not mono.is_identity for mono, _ in poly.terms()))
     if args.shots < needed:
         raise UsageError(f"--shots {args.shots} below {needed}: every sampled "
@@ -288,9 +255,14 @@ def cmd_simulate(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _add_code_flags(p: argparse.ArgumentParser):
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--code", help="preset name (or chsh for bell, verify)")
+    which.add_argument("--code-file", help="JSON code document")
+
+
 def _add_cert_flags(p: argparse.ArgumentParser):
-    p.add_argument("--code", help="preset name (or chsh fixture where supported)")
-    p.add_argument("--code-file", help="JSON code document")
+    _add_code_flags(p)
     p.add_argument("--theta", type=float, default=0.0,
                    help="tilt angle in [0, pi/2]")
     p.add_argument("--alpha0", type=float, default=0.0,
@@ -313,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codes", help="list or show code presets")
     p.add_argument("action", choices=["list", "show"])
-    p.add_argument("--code")
-    p.add_argument("--code-file")
+    _add_code_flags(p)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_codes)
@@ -333,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the deduction engine")
     p.add_argument("action", choices=["deduce", "search"])
-    p.add_argument("--code")
-    p.add_argument("--code-file")
+    _add_code_flags(p)
     p.add_argument("--subset", help="comma list of pair sites")
     p.add_argument("--budget-facts", type=int, default=5000)
     p.add_argument("--no-extras", action="store_true")

@@ -501,12 +501,9 @@ class _Engine:
     def r3_combine(self, a: Fact, b: Fact):
         if not (a.site_set & b.site_set):
             return  # disjoint products never feed the goal rules
-        if self.budget.combine == "even" and not (
-                word_all_even(a.word) and word_all_even(b.word)):
-            return
         if a.letters + b.letters > self.budget.max_word_letters:
             return  # normalization and rewriting only shrink words
-        if self.products_used >= self.budget.max_products:
+        if self.contradiction or self.products_used >= self.budget.max_products:
             return
         self.products_used += 1
         word, ph = word_product(a.word, b.word, self.problem)
@@ -616,32 +613,20 @@ class _Engine:
             mark = len(self.facts)
             for fact in frontier:
                 self.r2_powers(fact)
-                if self.contradiction:
-                    break
                 self.r5_hermitian_root(fact)
-                if self.contradiction:
-                    break
-            if not self.contradiction:
-                self.r4_transfer()
-            if not self.contradiction and not self.goal_met():
+            self.r4_transfer()
+            if not self.goal_met():
+                # the frontier lies inside known, so this tries every pair
+                # of frontier facts in both orders
                 known = self.facts[:mark]
+                if self.budget.combine == "even":
+                    frontier = [f for f in frontier if word_all_even(f.word)]
+                    known = [f for f in known if word_all_even(f.word)]
                 for a in frontier:
-                    if self.contradiction:
-                        break
                     for b in known:
                         self.r3_combine(a, b)
                         self.r3_combine(b, a)
-                        if self.contradiction:
-                            break
-                for a in frontier:
-                    if self.contradiction:
-                        break
-                    for b in frontier:
-                        self.r3_combine(a, b)
-                        if self.contradiction:
-                            break
-            if not self.contradiction:
-                self.reduce_phase(mark)
+            self.reduce_phase(mark)
             frontier = self.facts[mark:]
 
         apps = self.transcript.rule_applications()

@@ -55,6 +55,10 @@ class TestBell:
         assert run(["bell", "build", "--code", "steane"]) == 0
         assert "bound = 8" in capsys.readouterr().out
 
+    def test_chsh_fixture_bound(self, capsys):
+        assert run(["bell", "build", "--code", "chsh"]) == 0
+        assert "bound = 4\n" in capsys.readouterr().out
+
 
 class TestVerify:
     def test_all_three_presets_pass(self, capsys):
@@ -83,6 +87,28 @@ class TestVerify:
         assert run(["verify", "classical", "--poly-file", str(poly)]) == 2
         assert ("error: dimension 8192 exceeds dense matrix cap 4096"
                 in capsys.readouterr().err)
+
+    def test_poly_file_refused_for_certificate_checks(self, tmp_path, capsys):
+        poly = tmp_path / "p.json"
+        run(["bell", "build", "--code", "five_qubit", "--out", str(poly)])
+        capsys.readouterr()
+        for check in ("sos", "spectral", "all"):
+            assert run(["verify", check, "--code", "five_qubit",
+                        "--poly-file", str(poly)]) == 2, check
+            assert "not --poly-file" in capsys.readouterr().err
+
+    def test_code_and_code_file_exclusive(self, tmp_path, capsys):
+        doc = tmp_path / "steane.json"
+        doc.write_text(json.dumps(code_preset("steane").to_json()))
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "all", "--code", "chsh", "--code-file", str(doc)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_sweep_needs_code(self, capsys):
+        assert run(["verify", "spectral", "--code", "chsh",
+                    "--sweep", "0.2"]) == 2
+        assert "--sweep needs" in capsys.readouterr().err
 
     def test_code_file_matches_preset(self, tmp_path, capsys):
         doc = tmp_path / "code.json"
@@ -171,6 +197,11 @@ class TestSimulate:
         assert run(["simulate", "estimate", "--code", "five_qubit",
                     "--alpha0", "1", "--theta", "0.3",
                     "--shots", "100", "--seed", "1"]) == 5
+
+    def test_chsh_exits_2(self, capsys):
+        assert run(["simulate", "estimate", "--code", "chsh",
+                    "--seed", "1"]) == 2
+        assert "not chsh" in capsys.readouterr().err
 
     def test_noise_sweep_rows(self, capsys):
         assert run(["simulate", "noise-sweep", "--code", "five_qubit",
