@@ -4,9 +4,10 @@ The pipeline: pick a stabilizer code, substitute its site-local X/Z
 symbols with measurement settings (tilted pairs on the designated sites),
 and obtain a Bell polynomial whose quantum bound carries an explicit
 sum-of-squares certificate.  Verification runs three independent routes:
-exact symbolic identity checking, dense spectral analysis against the
-codespace, and proof search over the on-state deduction rules; a
-finite-shot game simulator estimates the violation from sampled rounds.
+exact symbolic identity checking, spectral analysis against the codespace
+(one 2 x 2 block per syndrome sector), and proof search over the on-state
+deduction rules; a finite-shot game simulator estimates the violation from
+sampled rounds.
 """
 
 from .pauli import (CodeValidationError, PauliWord, StabilizerCode,

@@ -97,6 +97,22 @@ def _spectrum(poly: BellPolynomial,
     return verify.max_eig(verify.materialize(poly, real), bound=bound)
 
 
+def _check_poly_fits(poly: BellPolynomial, code: StabilizerCode) -> None:
+    """Refuse a polynomial whose meta or sites name another code's layout."""
+    meta = poly.meta
+    if "n" in meta and int(meta["n"]) != code.n:
+        raise UsageError(f"polynomial is for n = {meta['n']} sites, "
+                         f"code {code.name} has {code.n}")
+    if ("pair_sites" in meta
+            and sorted(meta["pair_sites"]) != sorted(code.pair_sites)):
+        raise UsageError(f"polynomial pair sites {sorted(meta['pair_sites'])} "
+                         f"differ from code {code.name}'s "
+                         f"{sorted(code.pair_sites)}")
+    if poly.max_site() > code.n:
+        raise UsageError(f"polynomial touches site {poly.max_site()}, "
+                         f"code {code.name} has {code.n}")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -141,6 +157,8 @@ def cmd_verify(args) -> int:
     if args.poly_file and args.check != "classical":
         raise UsageError(f"{args.check} verification needs certificate "
                          "flags, not --poly-file")
+    if args.sweep and args.check != "spectral":
+        raise UsageError(f"--sweep needs the spectral check, not {args.check}")
     code, compiled, poly = _inputs(args)
 
     checks: dict[str, dict] = {}
@@ -230,6 +248,7 @@ def cmd_simulate(args) -> int:
     code, _, poly = _inputs(args)
     if code is None:
         raise UsageError("simulate needs --code (not chsh) or --code-file")
+    _check_poly_fits(poly, code)
     needed = max(1, sum(not mono.is_identity for mono, _ in poly.terms()))
     if args.shots < needed:
         raise UsageError(f"--shots {args.shots} below {needed}: every sampled "

@@ -1,9 +1,18 @@
 """Matrix-level verification: realizations, spectra, codespaces, bounds.
 
-Everything here is dense linear algebra on dimensions up to 2^14, with
-deterministic outputs (fixed summation order, LAPACK Hermitian eigensolver).
-Codespaces come from ``pauli.codespace_basis``: seeded random probes passed
-through the stabilizer product projector prod_i (1/q) sum_t S_i^t.
+Outputs are deterministic (fixed summation order, LAPACK Hermitian
+eigensolver).  Codespaces come from ``pauli.codespace_basis``: seeded random
+probes passed through the stabilizer product projector prod_i (1/q) sum_t S_i^t.
+
+The self-test check works per syndrome sector.  At the canonical realization
+every setting is a Pauli combination, so a compiled polynomial is a sum of
+Pauli words; for a qubit code with k = 1 each word in the normalizer is
+i^(-p) S^a Xbar^bx Zbar^bz, which acts on the sector with syndrome s as
+i^(-p) (-1)^(a.s) times a 2 x 2 logical Pauli.  One batched eigh over the 2^(n-1)
+blocks gives the whole spectrum.  Polynomials without a code, random
+realizations and words outside the normalizer use the dense route instead:
+``materialize`` builds the 2^n x 2^n matrix and ``max_eig`` diagonalizes it.
+Both routes refuse dimensions above ``MAX_MATRIX_DIM`` = 2^12.
 """
 
 from __future__ import annotations
@@ -16,8 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .pauli import (PauliWord, SizeLimitError, StabilizerCode, apply_word,
-                    code_preset, codespace_basis)
-from .poly import BellPolynomial, DIRECT, MeasurementAssignment
+                    code_preset, codespace_basis, mul)
+from .poly import COEFF_TOL, BellPolynomial, DIRECT, MeasurementAssignment
 from .compile import CompiledInequality, SOSCertificate, build_bell
 
 EIG_CLUSTER_TOL = 1e-8
@@ -102,15 +111,20 @@ def random_realization(n: int, rng: np.random.Generator,
     return Realization(tuple(pairs))
 
 
+def _capped_dim(real: Realization) -> int:
+    dim = real.total_dim()
+    if dim > MAX_MATRIX_DIM:
+        raise SizeLimitError(
+            f"dimension {dim} exceeds dense matrix cap {MAX_MATRIX_DIM}")
+    return dim
+
+
 def materialize(poly: BellPolynomial, real: Realization) -> np.ndarray:
     """Dense matrix of a polynomial under a realization (fixed term order)."""
     if poly.max_site() > real.n:
         raise ValueError(f"polynomial touches site {poly.max_site()} "
                          f"but realization has {real.n}")
-    dim = real.total_dim()
-    if dim > MAX_MATRIX_DIM:
-        raise SizeLimitError(
-            f"dimension {dim} exceeds dense matrix cap {MAX_MATRIX_DIM}")
+    dim = _capped_dim(real)
     out = np.zeros((dim, dim), dtype=complex)
     eyes = [np.eye(real.dim(s), dtype=complex) for s in range(1, real.n + 1)]
     for mono, coeff in poly.terms():
@@ -154,12 +168,143 @@ def max_eig(h: np.ndarray, bound: float | None = None) -> SpectralReport:
     if np.abs(h - h.conj().T).max() > 1e-9:
         raise ValueError("matrix is not Hermitian")
     vals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+    top, mask, gap = _top_cluster(vals)
+    return SpectralReport(top, int(mask.sum()), vecs[:, mask], gap, bound)
+
+
+def _top_cluster(vals: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(top, mask of eigenvalues within 1e-8 of it, gap below) of sorted vals."""
     top = float(vals[-1])
     mask = vals >= top - EIG_CLUSTER_TOL
-    mult = int(mask.sum())
     below = vals[~mask]
-    gap = float(top - below[-1]) if below.size else math.inf
-    return SpectralReport(top, mult, vecs[:, mask], gap, bound)
+    return top, mask, float(top - below[-1]) if below.size else math.inf
+
+
+# ---------------------------------------------------------------------------
+# Syndrome sectors
+# ---------------------------------------------------------------------------
+
+# sigma_b = X^(b & 1) Z^(b >> 1): the Pauli basis of one qubit, and of one
+# sector's logical block (b = 1 for Xbar, b = 2 for Zbar).
+_SIGMA = np.array([np.eye(2), _X, _Z, _X @ _Z], dtype=complex)
+_I_INV_POW = np.array([1, -1j, -1, 1j])  # i^(-p) for p = 0..3
+
+
+def _pauli_coeffs(obs: np.ndarray) -> list[tuple[int, int, complex]]:
+    """(x, z, c) with obs = sum c X^x Z^z over the nonzero c."""
+    coeffs = [np.vdot(sigma, obs) / 2 for sigma in _SIGMA]
+    return [(b & 1, b >> 1, c) for b, c in enumerate(coeffs)
+            if abs(c) > COEFF_TOL]
+
+
+def _pauli_sum(poly: BellPolynomial,
+               real: Realization) -> dict[tuple[int, int], complex]:
+    """poly at a qubit realization as {(x mask, z mask): c}, c X^x Z^z summed.
+
+    Bit k - 1 of a mask belongs to site k; each setting is expanded in the
+    Pauli basis of its 2 x 2 observable, and collected coefficients at or
+    below COEFF_TOL are dropped.
+    """
+    letters = [[_pauli_coeffs(real.obs(site, x)) for x in (0, 1)]
+               for site in range(1, real.n + 1)]
+    site_words: dict[tuple[int, tuple[int, ...]], dict] = {}
+    total: dict[tuple[int, int], complex] = {}
+    for mono, coeff in poly.terms():
+        acc = {(0, 0): complex(coeff)}
+        for site, word in mono.factors:
+            if (site, word) not in site_words:
+                local = {(0, 0): 1.0}
+                for letter in word:
+                    nxt: dict[tuple[int, int], complex] = {}
+                    for (x, z), c in local.items():
+                        for lx, lz, lc in letters[site - 1][letter]:
+                            # Z^z X^lx = (-1)^(z lx) X^lx Z^z
+                            key = (x ^ lx, z ^ lz)
+                            nxt[key] = nxt.get(key, 0) + (-1)**(z & lx) * lc * c
+                    local = nxt
+                site_words[site, word] = local
+            bit = 1 << (site - 1)
+            acc = {(x | bit * lx, z | bit * lz): c * lc
+                   for (x, z), c in acc.items()
+                   for (lx, lz), lc in site_words[site, word].items()}
+        for key, c in acc.items():
+            total[key] = total.get(key, 0) + c
+    return {key: c for key, c in total.items() if abs(c) > COEFF_TOL}
+
+
+def _symplectic_mask(word: PauliWord) -> int:
+    x = sum(bit << k for k, bit in enumerate(word.x_exp))
+    z = sum(bit << k for k, bit in enumerate(word.z_exp))
+    return x | z << word.n
+
+
+def sector_spectrum(poly: BellPolynomial, real: Realization,
+                    code: StabilizerCode
+                    ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenvalues and eigenvectors of poly per syndrome sector, or None.
+
+    Returns (vals, vecs) of shapes (2^m, 2) and (2^m, 2, 2), m = n - 1: row s
+    is the block on the sector where generator j has eigenvalue (-1)^(s_j),
+    written in the basis (|0L>_s, Xbar|0L>_s) with Zbar|0L>_s = |0L>_s, so
+    row 0 is the codespace in the convention of ``logical_basis``.  Returns
+    None, for the dense route to take over, unless the code is a qubit code
+    with k = 1 on the realization's qubits whose generators and logicals
+    are independent involutions with the commutation of a stabilizer code,
+    and every word of the polynomial lies in the normalizer.  Refuses
+    dimensions above MAX_MATRIX_DIM, like ``materialize``.
+    """
+    _capped_dim(real)
+    n, m = code.n, len(code.generators)
+    if (code.q != 2 or code.k != 1 or m != n - 1 or real.n != n
+            or poly.max_site() > n
+            or any(real.dim(site) != 2 for site in range(1, n + 1))):
+        return None
+    rows = code.generators + (code.logical_x, code.logical_z)
+    masks = [_symplectic_mask(w) for w in rows]
+    for i, a in enumerate(masks):
+        if not rows[i].power(2).is_identity:
+            return None
+        for j, b in enumerate(masks):
+            anticommute = ((a & b >> n) ^ (b & a >> n)).bit_count() & 1
+            if anticommute != ({i, j} == {m, m + 1}):
+                return None
+    # xor basis keyed by leading bit: (row combination, rows it mixes)
+    echelon: dict[int, tuple[int, int]] = {}
+
+    def reduce_mask(v: int, mix: int = 0) -> tuple[int, int]:
+        while v and v.bit_length() - 1 in echelon:
+            head, head_mix = echelon[v.bit_length() - 1]
+            v, mix = v ^ head, mix ^ head_mix
+        return v, mix
+
+    for i, mask in enumerate(masks):
+        rest, mix = reduce_mask(mask, 1 << i)
+        if not rest:
+            return None
+        echelon[rest.bit_length() - 1] = (rest, mix)
+    terms = _pauli_sum(poly, real)
+    sign_masks, blocks_of, coeffs = [], [], []
+    for (x, z), c in terms.items():
+        rest, mix = reduce_mask(x | z << n)
+        if rest:
+            return None
+        # X^x Z^z = i^(-p) S^a Xbar^bx Zbar^bz, with i^p the product's phase
+        product = reduce(mul, (rows[i] for i in range(m + 2) if mix >> i & 1),
+                         PauliWord.identity(n))
+        sign_masks.append(mix & ((1 << m) - 1))
+        blocks_of.append(mix >> m)
+        coeffs.append(c * _I_INV_POW[product.phase])
+    syndromes = np.arange(1 << m)
+    parity = np.bitwise_count(syndromes[None, :] & np.array(
+        sign_masks, dtype=np.int64).reshape(-1, 1)) & 1
+    weights = np.zeros((len(coeffs), 4), dtype=complex)
+    weights[np.arange(len(coeffs)), blocks_of] = coeffs
+    blocks = np.tensordot((1.0 - 2.0 * parity.astype(float)).T @ weights,
+                          _SIGMA, axes=1)
+    adjoint = blocks.conj().transpose(0, 2, 1)
+    if np.abs(blocks - adjoint).max() > 1e-9:
+        raise ValueError("matrix is not Hermitian")
+    return np.linalg.eigh((blocks + adjoint) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -261,34 +406,48 @@ def check_selftest(cert: SOSCertificate, code: StabilizerCode,
 
     With alpha0 = 0 the top eigenspace must be the codespace (multiplicity
     2^k); with alpha0 > 0 it must be the single tilted codeword
-    cos(theta)|0L> + sin(theta)|1L>.
+    cos(theta)|0L> + sin(theta)|1L>.  The spectrum comes from
+    ``sector_spectrum`` where it applies, else from the dense matrix.
     """
     compiled = compiled or build_bell(cert, code)
     real = canonical_realization(compiled.assignment)
-    h = materialize(compiled.poly, real)
-    spec = max_eig(h, bound=compiled.bound)
+    target = np.array([math.cos(cert.theta), math.sin(cert.theta)])
+    sectors = sector_spectrum(compiled.poly, real, code)
+    if sectors is not None:
+        vals, vecs = sectors
+        top, _, gap = _top_cluster(np.sort(vals, axis=None))
+        in_top = vals >= top - EIG_CLUSTER_TOL
+        mult = int(in_top.sum())
+        # other sectors are orthogonal to the codespace (sector 0)
+        dist = 0.0 if mult == 2 and in_top[0].all() else 1.0
+        sector, col = np.argwhere(in_top)[0]
+        fid = (float(abs(np.vdot(vecs[0, :, col], target))**2)
+               if sector == 0 else 0.0)
+    else:
+        spec = max_eig(materialize(compiled.poly, real))
+        top, mult, gap = spec.max_eigenvalue, spec.multiplicity, spec.gap
+        if cert.alpha0 == 0:
+            dist = principal_angle_sin(spec.eigenbasis, codespace_basis(code))
+        else:
+            v0, v1 = logical_basis(code)
+            fid = float(abs(np.vdot(spec.eigenbasis[:, 0],
+                                    target[0] * v0 + target[1] * v1))**2)
     report = SelftestReport(
         code=code.name, theta=cert.theta, alpha0=cert.alpha0,
-        bound=compiled.bound, max_eigenvalue=spec.max_eigenvalue,
-        multiplicity=spec.multiplicity, gap=spec.gap,
+        bound=compiled.bound, max_eigenvalue=top, multiplicity=mult, gap=gap,
     )
-    delta = abs(spec.max_eigenvalue - compiled.bound)
+    delta = abs(top - compiled.bound)
     report.checks.append(("bound_attained", delta <= tol,
                           f"|max_eig - bound| = {delta:.3e}"))
     if cert.alpha0 == 0:
-        report.checks.append(("multiplicity", spec.multiplicity == 2**code.k,
-                              f"multiplicity {spec.multiplicity}"))
-        dist = principal_angle_sin(spec.eigenbasis, codespace_basis(code))
+        report.checks.append(("multiplicity", mult == 2**code.k,
+                              f"multiplicity {mult}"))
         report.subspace_distance = dist
         report.checks.append(("eigenspace_is_codespace", dist <= tol,
                               f"principal-angle sin = {dist:.3e}"))
     else:
-        report.checks.append(("multiplicity", spec.multiplicity == 1,
-                              f"multiplicity {spec.multiplicity}"))
-        v0, v1 = logical_basis(code)
-        target = math.cos(cert.theta) * v0 + math.sin(cert.theta) * v1
-        vec = spec.eigenbasis[:, 0]
-        fid = float(abs(np.vdot(vec, target))**2)
+        report.checks.append(("multiplicity", mult == 1,
+                              f"multiplicity {mult}"))
         report.fidelity = fid
         report.checks.append(("fidelity", fid >= 1.0 - tol,
                               f"fidelity {fid:.12f}"))

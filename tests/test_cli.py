@@ -118,18 +118,28 @@ class TestVerify:
         assert run(["verify", "all", "--code-file", str(doc)]) == 0
         assert capsys.readouterr().out == from_preset
 
-    def test_all_materializes_once(self, capsys, monkeypatch):
+    def test_all_computes_one_spectrum(self, capsys, monkeypatch):
         from bellcert import verify
-        calls = []
-        real_materialize = verify.materialize
+        calls = {"materialize": 0, "sector_spectrum": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real_materialize(*args, **kwargs)
+        def counting(name):
+            real = getattr(verify, name)
 
-        monkeypatch.setattr(verify, "materialize", counting)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(verify, name, counting(name))
         assert run(["verify", "all", "--code", "five_qubit"]) == 0
-        assert len(calls) == 1
+        assert calls == {"materialize": 0, "sector_spectrum": 1}
+
+    def test_sweep_needs_spectral_check(self, capsys):
+        for check in ("all", "sos", "classical"):
+            assert run(["verify", check, "--code", "shor",
+                        "--sweep", "0.3"]) == 2, check
+            assert "--sweep needs the spectral check" in capsys.readouterr().err
 
     def test_tilt_sweep_csv(self, capsys):
         assert run(["verify", "spectral", "--code", "five_qubit",
@@ -238,6 +248,25 @@ class TestSimulate:
         from_code = capsys.readouterr().out
         assert run(args + ["--poly-file", str(poly)]) == 0
         assert capsys.readouterr().out == from_code
+
+    def test_poly_file_for_another_code_exits_2(self, tmp_path, capsys):
+        p5 = tmp_path / "p5.json"
+        assert run(["bell", "build", "--code", "five_qubit",
+                    "--out", str(p5)]) == 0
+        moved = tmp_path / "moved.json"
+        doc = {**code_preset("five_qubit").to_json(), "pair_sites": [2]}
+        moved.write_text(json.dumps(doc))
+        site6 = tmp_path / "site6.json"
+        site6.write_text(compiler.emit(
+            BellPolynomial({Monomial.from_dict({6: (A0,)}): 1.0}), "json"))
+        capsys.readouterr()
+        base = ["simulate", "estimate", "--shots", "1000", "--seed", "1"]
+        for code_args, poly, message in (
+                (["--code", "steane"], p5, "n = 5 sites"),
+                (["--code-file", str(moved)], p5, "pair sites [1]"),
+                (["--code", "five_qubit"], site6, "touches site 6")):
+            assert run(base + code_args + ["--poly-file", str(poly)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, capsys):
         args = ["simulate", "estimate", "--code", "five_qubit",

@@ -3,17 +3,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bellcert.compile import (build_bell, chsh_certificate, chsh_polynomial,
-                              default_certificate)
-from bellcert.pauli import code_preset
+from bellcert import verify
+from bellcert.compile import (SOSCertificate, build_bell, chsh_certificate,
+                              chsh_polynomial, default_certificate,
+                              default_operators)
+from bellcert.pauli import PauliWord, StabilizerCode, code_preset, load_code
 from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
 from bellcert.verify import (Realization, RealizationError,
                              canonical_realization, canonicalize_pair,
                              check_selftest, classical_bound, codespace_basis,
                              logical_basis, materialize, max_eig,
                              principal_angle_sin, qudit_codespace,
-                             random_realization, tilt_sweep)
+                             random_realization, sector_spectrum, tilt_sweep)
 
 SQRT2 = math.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -180,6 +183,124 @@ class TestSelftestChecks:
         assert len(rows) == 2
         for row in rows:
             assert row["fidelity"] >= 1 - 1e-8
+
+
+def _parity(v: int) -> int:
+    return bin(v).count("1") & 1
+
+
+def _word(v: int, n: int) -> PauliWord:
+    """Phase-free word of the symplectic vector v = x | z << n."""
+    return PauliWord(n, 2, tuple(v >> k & 1 for k in range(n)),
+                     tuple(v >> (n + k) & 1 for k in range(n)))
+
+
+@st.composite
+def _random_codes(draw):
+    """A valid [[n, 1]] qubit code, n <= 6, its pair sites and weights.
+
+    The standard frame (generators Z_2..Z_n, logicals X_1 and Z_1) is moved
+    by transvections u -> u + <u, v> v along random v with an odd number of
+    Y sites.  Each preserves the symplectic form and the parity of every
+    word's Y count, so the result is a random symplectic basis whose words
+    stay phase-free Hermitian involutions, as compiled certificates need.
+    """
+    n = draw(st.integers(2, 6))
+    frame = [1 << (n + k) for k in range(1, n)] + [1, 1 << n]
+    for v in draw(st.lists(st.integers(1, 4**n - 1), max_size=12)):
+        if _parity(v & v >> n):
+            frame = [u ^ v if _parity((u & v >> n) ^ (v & u >> n)) else u
+                     for u in frame]
+    code = StabilizerCode(
+        "random", n, 1, 2, tuple(_word(u, n) for u in frame[:-2]),
+        logical_x=_word(frame[-2], n), logical_z=_word(frame[-1], n),
+        pair_sites=draw(st.frozensets(st.integers(1, n))))
+    alphas = draw(st.lists(st.floats(0.25, 4.0), min_size=n - 1,
+                           max_size=n - 1))
+    return load_code(code.to_json()), alphas
+
+
+class TestSectorRoute:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_random_codes(), st.floats(0.0, math.pi / 2))
+    def test_matches_dense_route(self, case, theta):
+        code, alphas = case
+        for alpha0 in (0.0, 1.0):
+            cert = default_certificate(code, theta=theta, alpha0=alpha0,
+                                       alphas=alphas)
+            compiled = build_bell(cert, code)
+            real = canonical_realization(compiled.assignment)
+            assert sector_spectrum(compiled.poly, real, code) is not None
+            report = check_selftest(cert, code, compiled=compiled)
+            spec = max_eig(materialize(compiled.poly, real))
+            assert report.multiplicity == spec.multiplicity
+            assert report.max_eigenvalue == pytest.approx(
+                spec.max_eigenvalue, abs=1e-10)
+            assert report.gap == pytest.approx(spec.gap, abs=1e-10)
+            if alpha0 == 0:
+                dist = principal_angle_sin(spec.eigenbasis,
+                                           codespace_basis(code))
+                assert report.subspace_distance == pytest.approx(dist, abs=1e-10)
+            else:
+                v0, v1 = logical_basis(code)
+                target = math.cos(theta) * v0 + math.sin(theta) * v1
+                fid = abs(np.vdot(spec.eigenbasis[:, 0], target))**2
+                assert report.fidelity == pytest.approx(fid, abs=1e-10)
+
+    def test_top_eigenspace_in_another_sector(self, five_qubit):
+        # with -S_1 as generator the certificate's +S_1 term favours the
+        # sector orthogonal to the codespace
+        s1 = five_qubit.generators[0]
+        flipped = StabilizerCode(
+            "flipped", 5, 1, 2,
+            (PauliWord(5, 2, s1.x_exp, s1.z_exp, 2),)
+            + five_qubit.generators[1:],
+            five_qubit.logical_x, five_qubit.logical_z,
+            five_qubit.pair_sites)
+        for alpha0 in (0.0, 1.0):
+            cert = default_certificate(five_qubit, theta=0.4, alpha0=alpha0)
+            compiled = build_bell(cert, flipped)
+            real = canonical_realization(compiled.assignment)
+            assert sector_spectrum(compiled.poly, real, flipped) is not None
+            report = check_selftest(cert, flipped, compiled=compiled)
+            spec = max_eig(materialize(compiled.poly, real))
+            assert report.multiplicity == spec.multiplicity
+            if alpha0 == 0:
+                dist = principal_angle_sin(spec.eigenbasis,
+                                           codespace_basis(flipped))
+                assert report.subspace_distance == 1.0
+                assert dist == pytest.approx(1.0, abs=1e-10)
+            else:
+                v0, v1 = logical_basis(flipped)
+                target = math.cos(0.4) * v0 + math.sin(0.4) * v1
+                assert report.fidelity == 0.0
+                assert abs(np.vdot(spec.eigenbasis[:, 0], target)) <= 1e-10
+            assert not report.passed
+
+    def test_anticommuting_operator_takes_dense_route(self, five_qubit,
+                                                      monkeypatch):
+        # Z_1 anticommutes with S_1 = X Z Z X I, so the polynomial leaves the
+        # normalizer and no sector block exists
+        operators, _ = default_operators(five_qubit)
+        cert = SOSCertificate(
+            n=5, theta=0.0, alpha0=0.0, alphas=(1.0,) * 5,
+            operators=operators + (((1, "Z"),),),
+            pair_sites=five_qubit.pair_sites, code_name="five_qubit")
+        compiled = build_bell(cert, five_qubit)
+        real = canonical_realization(compiled.assignment)
+        assert sector_spectrum(compiled.poly, real, five_qubit) is None
+        calls = []
+        monkeypatch.setattr(verify, "materialize",
+                            lambda *a: calls.append(1) or materialize(*a))
+        report = check_selftest(cert, five_qubit, compiled=compiled)
+        assert calls == [1]
+        spec = max_eig(materialize(compiled.poly, real))
+        dist = principal_angle_sin(spec.eigenbasis, codespace_basis(five_qubit))
+        assert (report.max_eigenvalue, report.multiplicity, report.gap,
+                report.subspace_distance) == (spec.max_eigenvalue,
+                                              spec.multiplicity, spec.gap,
+                                              dist)
+        assert not report.passed
 
 
 class TestClassicalBound:
