@@ -14,9 +14,9 @@ from .pauli import (CodeValidationError, PauliWord, StabilizerCode,
                     apply_word, code_preset, comm_exponent, load_code, mul)
 from .poly import BellPolynomial, MeasurementAssignment, Monomial
 from .compile import (CertificateError, CompiledInequality, SOSCertificate,
-                      build_bell, build_tilted, check_cancellation,
-                      chsh_certificate, chsh_polynomial, default_certificate,
-                      emit, parse, substitute, verify_sos)
+                      build_bell, build_tilted, chsh_certificate,
+                      chsh_polynomial, default_certificate, emit, parse,
+                      substitute, verify_sos)
 from .verify import (Realization, SelftestReport, SpectralReport,
                      canonical_realization, canonicalize_pair, check_selftest,
                      classical_bound, codespace_basis, logical_basis,

@@ -1,7 +1,8 @@
 """Command-line pipeline: codes -> bell -> verify -> selftest -> simulate.
 
 Exit codes: 0 success/pass, 1 internal or failed verification, 2 usage
-(including inputs above a size cap), 3 deduction unknown, 4 deduction
+(including inputs above a size cap, and mu != pi/4 for the checks that
+need the canonical realization), 3 deduction unknown, 4 deduction
 contradiction, 5 capability (polynomial not estimable by single-measurement
 rounds).
 """
@@ -163,8 +164,7 @@ def cmd_verify(args) -> int:
 
     checks: dict[str, dict] = {}
     if args.check in ("sos", "all"):
-        ok, residual = compiler.verify_sos(compiled.certificate, code,
-                                           compiled=compiled)
+        ok, residual = compiler.verify_sos(compiled)
         checks["sos"] = {"passed": bool(ok),
                          "residual_max": residual.max_abs_coeff(),
                          "bound": compiled.bound,
@@ -183,8 +183,8 @@ def cmd_verify(args) -> int:
             _write_text(csv, args.out)
             return EXIT_OK
         if code is not None:
-            checks["spectral"] = verify.check_selftest(
-                compiled.certificate, code, compiled=compiled).to_json()
+            checks["spectral"] = verify.check_selftest(compiled,
+                                                       code).to_json()
         else:
             spec = _spectrum(poly, bound=compiled.bound)
             checks["spectral"] = {
@@ -355,7 +355,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, KeyError, CodeValidationError, SizeLimitError,
-            compiler.CertificateError, engine.ProblemError) as exc:
+            compiler.CertificateError, engine.ProblemError,
+            verify.RealizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except sim.EstimationError as exc:

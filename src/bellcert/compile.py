@@ -5,7 +5,8 @@ settings: direct sites use X -> A0, Z -> A1; tilted-pair sites use
 X -> (A0+A1)/(2 cos mu) and Z -> (A0-A1)/(2 sin mu).  The compiled
 inequality comes with an operator upper bound certified by expanding
 alpha0 (P - 1)^2 + sum_i alpha_i (S_i - 1)^2 >= 0 as an exact
-noncommutative polynomial identity.
+noncommutative polynomial identity.  ``build_bell`` expands each S_i once
+and every check reads it from the ``CompiledInequality``.
 """
 
 from __future__ import annotations
@@ -189,18 +190,6 @@ def build_tilted(theta: float, code: StabilizerCode,
     return zbar.scale(math.cos(2 * theta)) + xbar.scale(math.sin(2 * theta))
 
 
-def check_cancellation(cert: SOSCertificate,
-                       asg: MeasurementAssignment | None = None
-                       ) -> tuple[bool, BellPolynomial]:
-    """Whether sum_i alpha_i S_i^2 collapses to the constant sum_i alpha_i."""
-    asg = asg or cert.assignment()
-    total = BellPolynomial.zero()
-    for a, word in zip(cert.alphas, cert.operators):
-        total = total + substitute(word, asg).square().scale(a)
-    residual = total - BellPolynomial.constant(cert.alpha_sum())
-    return residual.is_zero(SOS_TOL), residual
-
-
 @dataclass(frozen=True)
 class CompiledInequality:
     poly: BellPolynomial
@@ -209,20 +198,28 @@ class CompiledInequality:
     tilted: BellPolynomial
     certificate: SOSCertificate
     assignment: MeasurementAssignment
+    operators: tuple[BellPolynomial, ...]  # each S_i at the assignment
+    cancellation: BellPolynomial  # sum alpha_i S_i^2 - sum alpha_i
 
 
-def build_bell(cert: SOSCertificate, code: StabilizerCode | None = None,
-               asg: MeasurementAssignment | None = None) -> CompiledInequality:
+def _sos_tol(cert: SOSCertificate) -> float:
+    """SOS_TOL times the largest weight, so verdicts ignore overall scale."""
+    return SOS_TOL * max(cert.alpha0, *cert.alphas)
+
+
+def build_bell(cert: SOSCertificate,
+               code: StabilizerCode | None = None) -> CompiledInequality:
     """Compile the certificate into its Bell polynomial and bound.
 
     When the squared operators cancel to a constant the reduced form
     -alpha0 P^2 + 2 alpha0 P + 2 sum alpha_i S_i is emitted with bound
     alpha0 + 2 sum alpha_i; otherwise the general form
     2 alpha0 P + 2 sum alpha_i S_i - sum alpha_i S_i^2 - alpha0 P^2 with
-    bound alpha0 + sum alpha_i.
+    bound alpha0 + sum alpha_i.  Each S_i is substituted and squared once.
     """
-    asg = asg or cert.assignment()
-    subs = [substitute(w, asg) for w in cert.operators]
+    asg = cert.assignment()
+    subs = tuple(substitute(w, asg) for w in cert.operators)
+    squares = [s.square() for s in subs]
 
     if cert.alpha0 > 0:
         if code is None:
@@ -231,18 +228,20 @@ def build_bell(cert: SOSCertificate, code: StabilizerCode | None = None,
     else:
         tilted = BellPolynomial.zero()
 
-    reduced, _ = check_cancellation(cert, asg)
-    stab_part = BellPolynomial.zero()
-    for a, s in zip(cert.alphas, subs):
-        stab_part = stab_part + s.scale(2.0 * a)
+    total = BellPolynomial.zero()
+    for a, sq in zip(cert.alphas, squares):
+        total = total + sq.scale(a)
+    cancellation = total - BellPolynomial.constant(cert.alpha_sum())
+    reduced = cancellation.is_zero(_sos_tol(cert))
 
+    poly = BellPolynomial.zero()
+    for a, s in zip(cert.alphas, subs):
+        poly = poly + s.scale(2.0 * a)
     if reduced:
-        poly = stab_part
         bound = cert.alpha0 + 2.0 * cert.alpha_sum()
     else:
-        poly = stab_part
-        for a, s in zip(cert.alphas, subs):
-            poly = poly - s.square().scale(a)
+        for a, sq in zip(cert.alphas, squares):
+            poly = poly - sq.scale(a)
         bound = cert.alpha0 + cert.alpha_sum()
     if cert.alpha0 > 0:
         poly = poly + tilted.scale(2.0 * cert.alpha0) - tilted.square().scale(cert.alpha0)
@@ -258,30 +257,25 @@ def build_bell(cert: SOSCertificate, code: StabilizerCode | None = None,
         "bound": bound,
         "reduced_form": reduced,
     })
-    return CompiledInequality(poly, bound, reduced, tilted, cert, asg)
+    return CompiledInequality(poly, bound, reduced, tilted, cert, asg, subs,
+                              cancellation)
 
 
-def verify_sos(cert: SOSCertificate, code: StabilizerCode | None = None,
-               asg: MeasurementAssignment | None = None,
-               compiled: CompiledInequality | None = None
-               ) -> tuple[bool, BellPolynomial]:
+def verify_sos(compiled: CompiledInequality) -> tuple[bool, BellPolynomial]:
     """Check bound - I == alpha0 (P-1)^2 + sum alpha_i (S_i-1)^2 exactly.
 
     A zero residual certifies <I> <= bound for every realization whose
     settings square to the identity.
     """
-    asg = asg or cert.assignment()
-    compiled = compiled or build_bell(cert, code, asg)
+    cert = compiled.certificate
     one = BellPolynomial.constant(1.0)
     sos = BellPolynomial.zero()
     if cert.alpha0 > 0:
-        diff = compiled.tilted - one
-        sos = sos + diff.square().scale(cert.alpha0)
-    for a, word in zip(cert.alphas, cert.operators):
-        diff = substitute(word, asg) - one
-        sos = sos + diff.square().scale(a)
+        sos = sos + (compiled.tilted - one).square().scale(cert.alpha0)
+    for a, s in zip(cert.alphas, compiled.operators):
+        sos = sos + (s - one).square().scale(a)
     residual = (BellPolynomial.constant(compiled.bound) - compiled.poly) - sos
-    return residual.is_zero(SOS_TOL), residual
+    return residual.is_zero(_sos_tol(cert)), residual
 
 
 # ---------------------------------------------------------------------------

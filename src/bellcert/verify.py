@@ -27,9 +27,10 @@ import numpy as np
 from .pauli import (PauliWord, SizeLimitError, StabilizerCode, apply_word,
                     code_preset, codespace_basis, mul)
 from .poly import COEFF_TOL, BellPolynomial, DIRECT, MeasurementAssignment
-from .compile import CompiledInequality, SOSCertificate, build_bell
+from .compile import CompiledInequality, build_bell, default_certificate
 
 EIG_CLUSTER_TOL = 1e-8
+SELFTEST_TOL = 1e-8  # bound attainment, codespace distance, 1 - fidelity
 
 # A dim x dim complex matrix takes 16 dim^2 bytes, and materialize plus
 # max_eig keep up to five alive at once (the sum, a term's kron product and
@@ -399,9 +400,8 @@ class SelftestReport:
         return doc
 
 
-def check_selftest(cert: SOSCertificate, code: StabilizerCode,
-                   compiled: CompiledInequality | None = None,
-                   tol: float = 1e-8) -> SelftestReport:
+def check_selftest(compiled: CompiledInequality,
+                   code: StabilizerCode) -> SelftestReport:
     """Spectral verification that the compiled inequality certifies its target.
 
     With alpha0 = 0 the top eigenspace must be the codespace (multiplicity
@@ -409,7 +409,7 @@ def check_selftest(cert: SOSCertificate, code: StabilizerCode,
     cos(theta)|0L> + sin(theta)|1L>.  The spectrum comes from
     ``sector_spectrum`` where it applies, else from the dense matrix.
     """
-    compiled = compiled or build_bell(cert, code)
+    cert = compiled.certificate
     real = canonical_realization(compiled.assignment)
     target = np.array([math.cos(cert.theta), math.sin(cert.theta)])
     sectors = sector_spectrum(compiled.poly, real, code)
@@ -437,19 +437,19 @@ def check_selftest(cert: SOSCertificate, code: StabilizerCode,
         bound=compiled.bound, max_eigenvalue=top, multiplicity=mult, gap=gap,
     )
     delta = abs(top - compiled.bound)
-    report.checks.append(("bound_attained", delta <= tol,
+    report.checks.append(("bound_attained", delta <= SELFTEST_TOL,
                           f"|max_eig - bound| = {delta:.3e}"))
     if cert.alpha0 == 0:
         report.checks.append(("multiplicity", mult == 2**code.k,
                               f"multiplicity {mult}"))
         report.subspace_distance = dist
-        report.checks.append(("eigenspace_is_codespace", dist <= tol,
+        report.checks.append(("eigenspace_is_codespace", dist <= SELFTEST_TOL,
                               f"principal-angle sin = {dist:.3e}"))
     else:
         report.checks.append(("multiplicity", mult == 1,
                               f"multiplicity {mult}"))
         report.fidelity = fid
-        report.checks.append(("fidelity", fid >= 1.0 - tol,
+        report.checks.append(("fidelity", fid >= 1.0 - SELFTEST_TOL,
                               f"fidelity {fid:.12f}"))
     return report
 
@@ -460,13 +460,11 @@ def tilt_sweep(code: StabilizerCode, thetas: Iterable[float],
                mu: float = math.pi / 4,
                extras: bool = True) -> list[dict]:
     """Rows (theta, max_eig, fidelity) for a sweep of tilt angles."""
-    from .compile import default_certificate
-
     rows = []
     for theta in thetas:
         cert = default_certificate(code, theta=theta, alpha0=alpha0,
                                    alphas=alphas, mu=mu, extras=extras)
-        report = check_selftest(cert, code)
+        report = check_selftest(build_bell(cert, code), code)
         rows.append({
             "theta": float(theta),
             "max_eig": report.max_eigenvalue,

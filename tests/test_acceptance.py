@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from bellcert.compile import (build_bell, check_cancellation,
-                              chsh_certificate, chsh_polynomial,
+from bellcert.compile import (build_bell, chsh_certificate, chsh_polynomial,
                               default_certificate, verify_sos)
 from bellcert.engine import (CONTRADICTION, PROVED, UNKNOWN, deduce,
                              problem_for_code, search_subsets)
@@ -36,7 +35,7 @@ def test_criterion_1_chsh_fixture():
     start = time.perf_counter()
     cert = chsh_certificate()
     compiled = build_bell(cert)
-    ok_sos, residual = verify_sos(cert, compiled=compiled)
+    ok_sos, residual = verify_sos(compiled)
     res_max = residual.max_abs_coeff()
     i0 = chsh_polynomial()
     h = materialize(i0, canonical_realization(compiled.assignment))
@@ -101,7 +100,7 @@ def test_criterion_4_tilted_certification():
         code = code_preset(name)
         for theta in THETAS:
             cert = default_certificate(code, theta=theta, alpha0=1.0)
-            report = check_selftest(cert, code)
+            report = check_selftest(build_bell(cert, code), code)
             assert report.multiplicity == 1, (name, theta, report.to_json())
             assert report.fidelity is not None
             worst_fid = min(worst_fid, report.fidelity)
@@ -123,12 +122,12 @@ def test_criterion_5_sos_identities():
             certs.append((code, default_certificate(code, theta=theta,
                                                     alpha0=1.0)))
     for code, cert in certs:
-        ok, residual = verify_sos(cert, code)
+        ok, residual = verify_sos(build_bell(cert, code))
         worst = max(worst, residual.max_abs_coeff())
         assert ok, (cert.code_name, cert.theta)
-    cancel_paper, _ = check_cancellation(default_certificate(code5))
-    cancel_unit, _ = check_cancellation(
-        default_certificate(code5, alphas=(1, 1, 1, 1)))
+    cancel_paper = build_bell(default_certificate(code5), code5).reduced_form
+    cancel_unit = build_bell(default_certificate(code5, alphas=(1, 1, 1, 1)),
+                             code5).reduced_form
     ok = worst <= 1e-10 and cancel_paper and not cancel_unit
     _report(5, ok, f"{len(certs)} certificates, worst residual {worst:.2e}; "
                    f"cancellation paper={cancel_paper} unit={cancel_unit}")

@@ -135,6 +135,41 @@ class TestVerify:
         assert run(["verify", "all", "--code", "five_qubit"]) == 0
         assert calls == {"materialize": 0, "sector_spectrum": 1}
 
+    @pytest.mark.parametrize("argv, subs, squares", [
+        (["--code", "shor"], 9, 18),
+        (["--code", "steane", "--theta", "0.7", "--alpha0", "1"], 10, 18),
+        (["--code", "five_qubit"], 4, 8),
+    ])
+    def test_all_expands_each_operator_once(self, argv, subs, squares,
+                                            capsys, monkeypatch):
+        # one substitution per operator and logical, one square per S_i
+        # and P in build_bell and one per (S_i - 1), (P - 1) in verify_sos
+        calls = {"substitute": 0, "square": 0}
+        substitute, square = compiler.substitute, BellPolynomial.square
+
+        def counting_substitute(*args):
+            calls["substitute"] += 1
+            return substitute(*args)
+
+        def counting_square(self):
+            calls["square"] += 1
+            return square(self)
+
+        monkeypatch.setattr(compiler, "substitute", counting_substitute)
+        monkeypatch.setattr(BellPolynomial, "square", counting_square)
+        assert run(["verify", "all"] + argv) == 0
+        assert calls == {"substitute": subs, "square": squares}
+
+    def test_mu_off_canonical_exits_2(self, capsys):
+        # the SOS identity holds for any mu; the other checks need the
+        # canonical realization, which exists only at mu = pi/4
+        flags = ["--code", "five_qubit", "--mu", "0.7"]
+        assert run(["verify", "sos"] + flags) == 0
+        capsys.readouterr()
+        for check in ("all", "spectral", "classical"):
+            assert run(["verify", check] + flags) == 2, check
+            assert "requires mu = pi/4" in capsys.readouterr().err
+
     def test_sweep_needs_spectral_check(self, capsys):
         for check in ("all", "sos", "classical"):
             assert run(["verify", check, "--code", "shor",

@@ -1,11 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from bellcert.compile import (CertificateError, SOSCertificate, build_bell,
-                              build_tilted, check_cancellation,
-                              chsh_certificate, chsh_polynomial,
+                              build_tilted, chsh_certificate, chsh_polynomial,
                               default_certificate, emit, parse, substitute,
                               verify_sos, xz_word)
 from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
@@ -131,13 +131,14 @@ class TestBuildBell:
 
 class TestCancellation:
     def test_paper_weights_cancel(self, five_qubit):
-        ok, residual = check_cancellation(default_certificate(five_qubit))
-        assert ok and residual.is_zero(1e-12)
+        compiled = build_bell(default_certificate(five_qubit), five_qubit)
+        assert compiled.reduced_form and compiled.cancellation.is_zero(1e-12)
 
     def test_unit_weights_leave_anticommutator(self, five_qubit):
         cert = default_certificate(five_qubit, alphas=(1, 1, 1, 1))
-        ok, residual = check_cancellation(cert)
-        assert not ok
+        compiled = build_bell(cert, five_qubit)
+        residual = compiled.cancellation
+        assert not compiled.reduced_form
         # residual is proportional to {A0^1, A1^1}
         assert residual.coeff(
             Monomial.from_dict({1: (A0, A1)})) == pytest.approx(0.5)
@@ -149,35 +150,34 @@ class TestCancellation:
                               operators=(xz_word([(1, "X"), (2, "X")]),
                                          xz_word([(2, "Z"), (3, "Z")])),
                               pair_sites=frozenset())
-        ok, _ = check_cancellation(cert)
-        assert ok
+        assert build_bell(cert).reduced_form
 
 
 class TestVerifySOS:
     def test_chsh_fixture(self):
         cert = chsh_certificate()
         compiled = build_bell(cert)
-        ok, residual = verify_sos(cert, compiled=compiled)
+        ok, residual = verify_sos(compiled)
         assert ok and residual.max_abs_coeff() <= 1e-12
         assert compiled.poly.allclose(chsh_polynomial().scale(SQRT2), 1e-12)
 
     def test_five_qubit_paper_certificate(self, five_qubit):
         cert = default_certificate(five_qubit)
-        ok, residual = verify_sos(cert, five_qubit)
+        ok, residual = verify_sos(build_bell(cert, five_qubit))
         assert ok and residual.max_abs_coeff() <= 1e-10
 
     def test_shor_with_ninth_operator(self, shor):
         cert = default_certificate(shor)
         assert len(cert.operators) == 9
         compiled = build_bell(cert, shor)
-        ok, residual = verify_sos(cert, shor, compiled=compiled)
+        ok, residual = verify_sos(compiled)
         assert ok
         assert compiled.bound == pytest.approx(9.0)
 
     def test_tilted_certificates(self, five_qubit, steane):
         for code in (five_qubit, steane):
             cert = default_certificate(code, theta=math.pi / 8, alpha0=1.0)
-            ok, residual = verify_sos(cert, code)
+            ok, residual = verify_sos(build_bell(cert, code))
             assert ok, residual.max_abs_coeff()
 
     def test_tampered_coefficient_fails(self, five_qubit):
@@ -185,11 +185,23 @@ class TestVerifySOS:
         compiled = build_bell(cert, five_qubit)
         tampered = compiled.poly + BellPolynomial(
             {Monomial.from_dict({1: (A0,)}): 0.01})
-        bad = type(compiled)(tampered, compiled.bound, compiled.reduced_form,
-                             compiled.tilted, compiled.certificate,
-                             compiled.assignment)
-        ok, residual = verify_sos(cert, five_qubit, compiled=bad)
+        bad = dataclasses.replace(compiled, poly=tampered)
+        ok, residual = verify_sos(bad)
         assert not ok and residual.max_abs_coeff() > 1e-6
+
+    @pytest.mark.parametrize("name", ["five_qubit", "steane", "shor"])
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6])
+    def test_verdicts_ignore_weight_scale(self, name, scale, request):
+        # the SOS identity is linear in the weights, so scaling all of them
+        # must keep both the identity and the choice of form
+        code = request.getfixturevalue(name)
+        base = default_certificate(code, theta=0.3, alpha0=1.0)
+        cert = dataclasses.replace(
+            base, alpha0=scale, alphas=tuple(scale * a for a in base.alphas))
+        compiled = build_bell(cert, code)
+        ok, residual = verify_sos(compiled)
+        assert ok, residual.max_abs_coeff()
+        assert compiled.reduced_form == build_bell(base, code).reduced_form
 
 
 class TestRealizationSoundness:
@@ -207,7 +219,7 @@ class TestRealizationSoundness:
         # must vanish for arbitrary +-1 observables
         cert = default_certificate(five_qubit)
         compiled = build_bell(cert, five_qubit)
-        ok, residual = verify_sos(cert, five_qubit, compiled=compiled)
+        ok, residual = verify_sos(compiled)
         assert ok
         real = random_realization(5, rng, dims=(2,))
         assert np.abs(materialize(residual, real)).max() <= 1e-9

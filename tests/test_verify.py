@@ -159,14 +159,15 @@ class TestCodespace:
 
 class TestSelftestChecks:
     def test_codespace_certification(self, five_qubit):
-        report = check_selftest(default_certificate(five_qubit), five_qubit)
+        compiled = build_bell(default_certificate(five_qubit), five_qubit)
+        report = check_selftest(compiled, five_qubit)
         assert report.passed
         assert report.multiplicity == 2
         assert report.subspace_distance <= 1e-8
 
     def test_tilted_certification_shor(self, shor):
         cert = default_certificate(shor, theta=math.pi / 8, alpha0=1.0)
-        report = check_selftest(cert, shor)
+        report = check_selftest(build_bell(cert, shor), shor)
         assert report.passed and report.fidelity >= 1 - 1e-8
 
     def test_theta_zero_top_state_is_logical_zero(self, steane):
@@ -231,7 +232,7 @@ class TestSectorRoute:
             compiled = build_bell(cert, code)
             real = canonical_realization(compiled.assignment)
             assert sector_spectrum(compiled.poly, real, code) is not None
-            report = check_selftest(cert, code, compiled=compiled)
+            report = check_selftest(compiled, code)
             spec = max_eig(materialize(compiled.poly, real))
             assert report.multiplicity == spec.multiplicity
             assert report.max_eigenvalue == pytest.approx(
@@ -262,7 +263,7 @@ class TestSectorRoute:
             compiled = build_bell(cert, flipped)
             real = canonical_realization(compiled.assignment)
             assert sector_spectrum(compiled.poly, real, flipped) is not None
-            report = check_selftest(cert, flipped, compiled=compiled)
+            report = check_selftest(compiled, flipped)
             spec = max_eig(materialize(compiled.poly, real))
             assert report.multiplicity == spec.multiplicity
             if alpha0 == 0:
@@ -292,7 +293,7 @@ class TestSectorRoute:
         calls = []
         monkeypatch.setattr(verify, "materialize",
                             lambda *a: calls.append(1) or materialize(*a))
-        report = check_selftest(cert, five_qubit, compiled=compiled)
+        report = check_selftest(compiled, five_qubit)
         assert calls == [1]
         spec = max_eig(materialize(compiled.poly, real))
         dist = principal_angle_sin(spec.eigenbasis, codespace_basis(five_qubit))
