@@ -18,7 +18,7 @@ from pathlib import Path
 from . import compile as compiler
 from . import engine, sim, verify
 from .pauli import (CodeValidationError, PRESET_NAMES, SizeLimitError,
-                    StabilizerCode, code_preset, load_code)
+                    StabilizerCode, code_preset, load_code, preset_data)
 from .poly import BellPolynomial, MeasurementAssignment
 
 EXIT_OK = 0
@@ -60,7 +60,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 def _load_code_arg(args) -> StabilizerCode:
     if args.code_file:
-        return load_code(json.loads(Path(args.code_file).read_text()))
+        return load_code(Path(args.code_file).read_text())
     if args.code:
         return code_preset(args.code)
     raise UsageError("one of --code or --code-file is required")
@@ -129,10 +129,10 @@ def cmd_codes(args) -> int:
     if args.json:
         _emit_json(code.to_json(), args.out)
         return EXIT_OK
-    # the distance is descriptive metadata only; nothing computes with it
-    dist = {"five_qubit": 3, "steane": 3, "shor": 3}.get(
-        code.name, 3 if code.name.startswith("five_qudit") else None)
-    params = f"[[{code.n},{code.k},{dist}]]" if dist else f"[[{code.n},{code.k}]]"
+    # the distance is published preset data; nothing computes it
+    data = preset_data(code)
+    params = (f"[[{code.n},{code.k},{data.distance}]]" if data
+              else f"[[{code.n},{code.k}]]")
     lines = [f"{code.name}: {params} q={code.q}",
              f"pair sites: {sorted(code.pair_sites)}"]
     for i, g in enumerate(code.generators, start=1):

@@ -14,43 +14,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .pauli import PauliWord, StabilizerCode
+from .pauli import PauliWord, StabilizerCode, preset_data
 from .poly import (A0, A1, DIRECT, BellPolynomial, MeasurementAssignment,
                    Monomial)
 
 SOS_TOL = 1e-10
 
-XZWord = tuple[tuple[int, str], ...]  # ordered (site, 'X'|'Z') letters
-
 
 class CertificateError(ValueError):
     """Raised for invalid certificate parameters."""
-
-
-def xz_word(letters: Iterable[tuple[int, str]]) -> XZWord:
-    out = []
-    for site, sym in letters:
-        if sym not in ("X", "Z"):
-            raise ValueError(f"symbol must be 'X' or 'Z', got {sym!r}")
-        out.append((int(site), sym))
-    return tuple(out)
-
-
-def xz_word_from_pauli(word: PauliWord) -> XZWord:
-    """Expand a phase-free qubit Pauli word into (site, symbol) letters."""
-    if word.q != 2:
-        raise ValueError("only q=2 words translate to measurement settings")
-    if word.phase != 0:
-        raise ValueError("word must be phase-free")
-    letters = []
-    for k in range(word.n):
-        if word.x_exp[k]:
-            letters.append((k + 1, "X"))
-        if word.z_exp[k]:
-            letters.append((k + 1, "Z"))
-    return tuple(letters)
 
 
 @dataclass(frozen=True)
@@ -61,14 +35,13 @@ class SOSCertificate:
     theta: float
     alpha0: float
     alphas: tuple[float, ...]
-    operators: tuple[XZWord, ...]
+    operators: tuple[PauliWord, ...]
     pair_sites: frozenset[int]
     mu: float = math.pi / 4
-    labels: tuple[int, ...] = ()
     code_name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "operators", tuple(xz_word(w) for w in self.operators))
+        object.__setattr__(self, "operators", tuple(self.operators))
         object.__setattr__(self, "pair_sites", frozenset(self.pair_sites))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         if not self.operators:
@@ -84,13 +57,10 @@ class SOSCertificate:
                 raise CertificateError(f"alpha_{i + 1} = {a} must be positive")
         if not 0.0 < self.mu < math.pi / 2:
             raise CertificateError(f"mu={self.mu} outside (0, pi/2)")
-        if not self.labels:
-            object.__setattr__(self, "labels",
-                               tuple(range(1, len(self.operators) + 1)))
         for word in self.operators:
-            for site, _ in word:
-                if not 1 <= site <= self.n:
-                    raise CertificateError(f"operator site {site} out of range")
+            if word.n != self.n:
+                raise CertificateError(
+                    f"operator {word} acts on {word.n} sites, not {self.n}")
 
     def assignment(self) -> MeasurementAssignment:
         return MeasurementAssignment.build(self.n, self.pair_sites, self.mu)
@@ -99,55 +69,27 @@ class SOSCertificate:
         return sum(self.alphas)
 
 
-# Extra operators required by the deduction proofs, keyed by preset name.
-PRESET_EXTRAS: dict[str, tuple[tuple[int, XZWord], ...]] = {
-    "five_qubit": (),
-    "steane": (
-        (4, xz_word([(1, "X"), (2, "X"), (5, "X"), (6, "X")])),
-        (8, xz_word([(1, "Z"), (2, "Z"), (5, "Z"), (6, "Z")])),
-    ),
-    "shor": (
-        (9, xz_word([(4, "X"), (5, "X"), (6, "X"),
-                     (7, "X"), (8, "X"), (9, "X")])),
-    ),
-}
-
-PRESET_GENERATOR_LABELS: dict[str, tuple[int, ...]] = {
-    "steane": (1, 2, 3, 5, 6, 7),
-}
-
-PRESET_ALPHAS: dict[str, tuple[float, ...]] = {
-    "five_qubit": (math.sqrt(2), 1.0, math.sqrt(2), 2 * math.sqrt(2)),
-}
-
-
-def default_operators(code: StabilizerCode,
-                      extras: bool = True) -> tuple[tuple[XZWord, ...], tuple[int, ...]]:
-    """Operator list (and display labels) for a code, extras interleaved by label."""
-    gen_labels = PRESET_GENERATOR_LABELS.get(code.name,
-                                             tuple(range(1, len(code.generators) + 1)))
-    entries = [(lab, xz_word_from_pauli(g))
-               for lab, g in zip(gen_labels, code.generators)]
-    if extras:
-        entries.extend(PRESET_EXTRAS.get(code.name, ()))
-    entries.sort(key=lambda e: e[0])
-    return tuple(w for _, w in entries), tuple(lab for lab, _ in entries)
-
-
 def default_certificate(code: StabilizerCode, theta: float = 0.0,
                         alpha0: float = 0.0,
                         alphas: Sequence[float] | None = None,
                         mu: float = math.pi / 4,
                         extras: bool = True) -> SOSCertificate:
+    """Certificate over the code's generators; a preset also brings its
+    extra operators (unless ``extras`` is false) and published weights."""
     if code.q != 2:
         raise CertificateError("Bell compilation is defined for qubit codes only")
-    operators, labels = default_operators(code, extras=extras)
+    data = preset_data(code)
+    operators = list(code.generators)
+    if extras and data:
+        for position, word in data.extras:
+            operators.insert(position - 1, word)
     if alphas is None:
-        alphas = PRESET_ALPHAS.get(code.name, (1.0,) * len(operators))
+        alphas = (data.alphas if data and data.alphas
+                  else (1.0,) * len(operators))
     return SOSCertificate(
         n=code.n, theta=theta, alpha0=alpha0, alphas=tuple(alphas),
-        operators=operators, pair_sites=code.pair_sites, mu=mu,
-        labels=labels, code_name=code.name,
+        operators=tuple(operators), pair_sites=code.pair_sites, mu=mu,
+        code_name=code.name,
     )
 
 
@@ -155,10 +97,15 @@ def default_certificate(code: StabilizerCode, theta: float = 0.0,
 # Substitution
 # ---------------------------------------------------------------------------
 
-def substitute(word: XZWord, asg: MeasurementAssignment) -> BellPolynomial:
-    """Expand an abstract X/Z word into a polynomial in the settings."""
+def substitute(word: PauliWord, asg: MeasurementAssignment) -> BellPolynomial:
+    """Expand a phase-free qubit word, X before Z at each site, into a
+    polynomial in the settings."""
+    if word.q != 2:
+        raise ValueError("only q=2 words translate to measurement settings")
+    if word.phase != 0:
+        raise ValueError("word must be phase-free")
     out = BellPolynomial.constant(1.0)
-    for site, sym in word:
+    for site, sym, _ in word.factors():
         kind, mu = asg.role(site)
         if kind == DIRECT:
             letter = A0 if sym == "X" else A1
@@ -185,8 +132,8 @@ def build_tilted(theta: float, code: StabilizerCode,
     """The tilted logical operator cos(2 theta) Z-bar + sin(2 theta) X-bar."""
     if not 0.0 <= theta <= math.pi / 2:
         raise CertificateError(f"theta={theta} outside [0, pi/2]")
-    zbar = substitute(xz_word_from_pauli(code.logical_z), asg)
-    xbar = substitute(xz_word_from_pauli(code.logical_x), asg)
+    zbar = substitute(code.logical_z, asg)
+    xbar = substitute(code.logical_x, asg)
     return zbar.scale(math.cos(2 * theta)) + xbar.scale(math.sin(2 * theta))
 
 
@@ -286,7 +233,7 @@ def chsh_certificate() -> SOSCertificate:
     """Two-site certificate whose compiled form is sqrt(2) times CHSH."""
     return SOSCertificate(
         n=2, theta=0.0, alpha0=0.0, alphas=(1.0, 1.0),
-        operators=(xz_word([(1, "X"), (2, "X")]), xz_word([(1, "Z"), (2, "Z")])),
+        operators=(PauliWord(2, 2, (1, 1), (0, 0)), PauliWord(2, 2, (0, 0), (1, 1))),
         pair_sites=frozenset({1}), code_name="chsh",
     )
 

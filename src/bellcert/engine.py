@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .pauli import PauliWord, StabilizerCode
+from .pauli import StabilizerCode, preset_data
 
 PROVED = "proved"
 CONTRADICTION = "contradiction"
@@ -374,14 +374,6 @@ class _Engine:
             return None
         if word_letters(word) > self.budget.max_word_letters:
             return None
-        known = self.by_word.get(word)
-        if known is not None:
-            if known.phase != phase:
-                self._flag_contradiction(
-                    f"state equation {render_word(word)} carries phases "
-                    f"omega^{known.phase} (fact {known.idx}) and omega^{phase}",
-                    rule, premises + (known.idx,))
-            return None
         if len(self.facts) >= self.budget.max_facts:
             return None
         fact = Fact(len(self.facts), word, phase, rule, premises)
@@ -650,31 +642,21 @@ def deduce(problem: Problem, budget: Budget | None = None) -> DeduceResult:
 # Problems from codes
 # ---------------------------------------------------------------------------
 
-def _pauli_factors(word: PauliWord) -> tuple[tuple[int, str, int], ...]:
-    if word.phase != 0:
-        raise ProblemError("operator words must be phase-free")
-    factors = []
-    for k in range(word.n):
-        if word.x_exp[k]:
-            factors.append((k + 1, "X", word.x_exp[k]))
-        if word.z_exp[k]:
-            factors.append((k + 1, "Z", word.z_exp[k]))
-    return tuple(factors)
-
-
 def problem_for_code(code: StabilizerCode,
                      pair_sites: Iterable[int] | None = None,
                      extras: bool = True) -> Problem:
-    """Deduction problem for a code's operator list (preset extras included)."""
-    from .compile import PRESET_EXTRAS
-
-    ops = [_pauli_factors(g) for g in code.generators]
-    if extras:
-        for _label, word in PRESET_EXTRAS.get(code.name, ()):
-            ops.append(tuple((site, sym, 1) for site, sym in word))
+    """Deduction problem for a code's generators, followed by the extra
+    operators of the preset the code equals (unless ``extras`` is false)."""
+    words = list(code.generators)
+    data = preset_data(code) if extras else None
+    if data:
+        words += [word for _, word in data.extras]
+    if any(word.phase for word in words):
+        raise ProblemError("operator words must be phase-free")
     subset = code.pair_sites if pair_sites is None else frozenset(pair_sites)
     return Problem(n=code.n, q=code.q, pair_sites=subset,
-                   operators=tuple(ops), name=code.name)
+                   operators=tuple(word.factors() for word in words),
+                   name=code.name)
 
 
 @dataclass

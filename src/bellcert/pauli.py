@@ -11,6 +11,7 @@ Sites are 1-indexed in all public I/O; exponent vectors are stored
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -114,9 +115,18 @@ class PauliWord:
     def is_identity(self) -> bool:
         return (not any(self.x_exp) and not any(self.z_exp) and self.phase == 0)
 
-    @property
-    def weight(self) -> int:
-        return sum(1 for x, z in zip(self.x_exp, self.z_exp) if x or z)
+    def factors(self) -> tuple[tuple[int, str, int], ...]:
+        """(site, symbol, power) factors, X before Z at each site.
+
+        The inverse of ``from_factors`` up to the phase, which it drops.
+        """
+        out = []
+        for k in range(self.n):
+            if self.x_exp[k]:
+                out.append((k + 1, "X", self.x_exp[k]))
+            if self.z_exp[k]:
+                out.append((k + 1, "Z", self.z_exp[k]))
+        return tuple(out)
 
     # -- materialization -------------------------------------------------
 
@@ -128,17 +138,9 @@ class PauliWord:
         return apply_word(self, np.eye(dim, dtype=complex))
 
     def __str__(self) -> str:
-        parts = []
-        for k in range(self.n):
-            x, z = self.x_exp[k], self.z_exp[k]
-            if x:
-                parts.append(f"X{k + 1}" + (f"^{x}" if x != 1 else ""))
-            if z:
-                parts.append(f"Z{k + 1}" + (f"^{z}" if z != 1 else ""))
-        body = " ".join(parts) if parts else "I"
-        if self.phase == 0:
-            return body
-        return f"tau^{self.phase} {body}"
+        body = " ".join(f"{sym}{site}" + (f"^{power}" if power != 1 else "")
+                        for site, sym, power in self.factors()) or "I"
+        return body if self.phase == 0 else f"tau^{self.phase} {body}"
 
     def to_json(self) -> dict:
         return {"x": list(self.x_exp), "z": list(self.z_exp), "phase": self.phase}
@@ -460,6 +462,55 @@ def code_preset(name: str, q: int | None = None) -> StabilizerCode:
     raise KeyError(f"unknown code preset {name!r}; known: {', '.join(PRESET_NAMES)}")
 
 
+@dataclass(frozen=True)
+class PresetData:
+    """What is published with a preset besides the code itself.
+
+    ``extras`` are products of generators that the deduction proofs need,
+    each with its 1-based position in the certificate's operator list (the
+    generators keep their order in the other positions); ``alphas`` are the
+    published certificate weights, None for unit weights.
+    """
+
+    distance: int
+    extras: tuple[tuple[int, PauliWord], ...] = ()
+    alphas: tuple[float, ...] | None = None
+
+
+_PRESET_DATA = {
+    "five_qubit": PresetData(3, alphas=(math.sqrt(2), 1.0, math.sqrt(2),
+                                        2 * math.sqrt(2))),
+    "steane": PresetData(3, extras=(
+        (4, _word(7, {1: "X", 2: "X", 5: "X", 6: "X"})),
+        (8, _word(7, {1: "Z", 2: "Z", 5: "Z", 6: "Z"})),
+    )),
+    "shor": PresetData(3, extras=(
+        (9, _word(9, {s: "X" for s in range(4, 10)})),
+    )),
+    "five_qudit": PresetData(3),
+}
+
+
+@functools.lru_cache(maxsize=16)
+def _reference_preset(base: str, q: int) -> StabilizerCode | None:
+    try:
+        return code_preset(base, q=q)
+    except ValueError:  # five_qudit at a q that is not prime
+        return None
+
+
+def preset_data(code: StabilizerCode) -> PresetData | None:
+    """The published data of the preset that ``code`` equals, else None.
+
+    A document that keeps a preset's name but changes a generator, a
+    logical or a pair site is another code and gets no preset data.
+    """
+    base = code.name.partition(":")[0]
+    if base not in _PRESET_DATA or code != _reference_preset(base, code.q):
+        return None
+    return _PRESET_DATA[base]
+
+
 # ---------------------------------------------------------------------------
 # JSON loading
 # ---------------------------------------------------------------------------
@@ -468,21 +519,30 @@ def _word_from_json(doc: Mapping, n: int, q: int, label: str) -> PauliWord:
     try:
         return PauliWord(n, q, tuple(doc["x"]), tuple(doc["z"]),
                          int(doc.get("phase", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CodeValidationError(f"malformed {label}: {exc}") from exc
 
 
 def load_code(document: Mapping | str) -> StabilizerCode:
-    """Parse and validate a code document (dict or JSON string)."""
-    if isinstance(document, str):
-        document = json.loads(document)
+    """Parse and validate a code document (dict or JSON string).
+
+    Every malformed or invalid document raises CodeValidationError.
+    """
     try:
+        if isinstance(document, str):
+            document = json.loads(document)
         name = str(document["name"])
-        n = int(document["n"])
-        k = int(document["k"])
-        q = int(document["q"])
+        n, k, q = (int(document[key]) for key in ("n", "k", "q"))
         gen_docs = document["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
+        x_doc, z_doc = document["logical_x"], document["logical_z"]
+        site_docs = document.get("pair_sites", [])
+        for key, value in (("generators", gen_docs), ("pair_sites", site_docs)):
+            if not isinstance(value, list):
+                raise TypeError(f"{key} must be a list")
+        pair_sites = frozenset(int(s) for s in site_docs)
+    except KeyError as exc:
+        raise CodeValidationError(f"malformed code document: missing {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CodeValidationError(f"malformed code document: {exc}") from exc
     if n < 1:
         raise CodeValidationError("n must be positive")
@@ -490,8 +550,8 @@ def load_code(document: Mapping | str) -> StabilizerCode:
                  for i, g in enumerate(gen_docs))
     code = StabilizerCode(
         name, n, k, q, gens,
-        logical_x=_word_from_json(document["logical_x"], n, q, "logical_x"),
-        logical_z=_word_from_json(document["logical_z"], n, q, "logical_z"),
-        pair_sites=frozenset(int(s) for s in document.get("pair_sites", ())),
+        logical_x=_word_from_json(x_doc, n, q, "logical_x"),
+        logical_z=_word_from_json(z_doc, n, q, "logical_z"),
+        pair_sites=pair_sites,
     )
     return validate_code(code)

@@ -9,6 +9,8 @@ from bellcert.pauli import code_preset, load_code
 from bellcert.poly import A0, BellPolynomial, Monomial
 from bellcert.sim import MAX_SHOTS
 
+FIVE_QUBIT_DOC = code_preset("five_qubit").to_json()
+
 
 def run(argv):
     return main(argv)
@@ -32,6 +34,27 @@ class TestCodes:
         assert run(["codes", "show", "--code", "five_qubit", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert load_code(doc) == code_preset("five_qubit")
+
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps({**FIVE_QUBIT_DOC, "generators": 5}),
+         "generators must be a list"),
+        (json.dumps({**FIVE_QUBIT_DOC, "pair_sites": 3}),
+         "pair_sites must be a list"),
+        (json.dumps({**FIVE_QUBIT_DOC, "pair_sites": "a"}),
+         "pair_sites must be a list"),
+        (json.dumps({k: v for k, v in FIVE_QUBIT_DOC.items()
+                     if k != "logical_x"}), "missing 'logical_x'"),
+        ('{"name": "five_qubit",', "Expecting property name"),
+    ], ids=["generators-int", "pair_sites-int", "pair_sites-str",
+            "no-logical_x", "truncated"])
+    def test_malformed_code_file_exits_2(self, text, message, tmp_path,
+                                         capsys):
+        path = tmp_path / "code.json"
+        path.write_text(text)
+        assert run(["codes", "show", "--code-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed code document: ")
+        assert message in err
 
 
 class TestBell:
@@ -110,13 +133,35 @@ class TestVerify:
                     "--sweep", "0.2"]) == 2
         assert "--sweep needs" in capsys.readouterr().err
 
-    def test_code_file_matches_preset(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name", ["five_qubit", "steane", "shor"])
+    def test_code_file_matches_preset(self, name, tmp_path, capsys):
+        # a document equal to the preset gets its extras and weights
         doc = tmp_path / "code.json"
-        doc.write_text(json.dumps(code_preset("five_qubit").to_json()))
-        assert run(["verify", "all", "--code", "five_qubit"]) == 0
-        from_preset = capsys.readouterr().out
-        assert run(["verify", "all", "--code-file", str(doc)]) == 0
-        assert capsys.readouterr().out == from_preset
+        doc.write_text(json.dumps(code_preset(name).to_json()))
+        for argv in (["verify", "all"], ["selftest", "deduce"]):
+            assert run(argv + ["--code", name]) == 0
+            from_preset = capsys.readouterr().out
+            assert run(argv + ["--code-file", str(doc)]) == 0
+            assert capsys.readouterr().out == from_preset
+
+    def test_preset_name_alone_brings_no_extras(self, tmp_path, capsys):
+        # Steane with qubits 1 and 4 swapped is a valid code, but the
+        # preset's extras X1 X2 X5 X6 and Z1 Z2 Z5 Z6 do not stabilize it
+        doc = code_preset("steane").to_json()
+        for word in doc["generators"] + [doc["logical_x"], doc["logical_z"]]:
+            for key in ("x", "z"):
+                word[key][0], word[key][3] = word[key][3], word[key][0]
+        seen = {}
+        for name in ("steane", "swapped"):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**doc, "name": name}))
+            seen[name] = []
+            for argv in (["verify", "all"], ["selftest", "deduce"]):
+                rc = run(argv + ["--code-file", str(path)])
+                out = capsys.readouterr().out.replace(f'"{name}"', '"NAME"')
+                seen[name].append((rc, out))
+        assert seen["steane"] == seen["swapped"]
+        assert [rc for rc, _ in seen["steane"]] == [0, 3]
 
     def test_all_computes_one_spectrum(self, capsys, monkeypatch):
         from bellcert import verify

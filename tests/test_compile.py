@@ -7,7 +7,8 @@ import pytest
 from bellcert.compile import (CertificateError, SOSCertificate, build_bell,
                               build_tilted, chsh_certificate, chsh_polynomial,
                               default_certificate, emit, parse, substitute,
-                              verify_sos, xz_word)
+                              verify_sos)
+from bellcert.pauli import PauliWord
 from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
 from bellcert.verify import materialize, random_realization
 
@@ -18,21 +19,25 @@ def asg_for(n, pairs, mu=math.pi / 4):
     return MeasurementAssignment.build(n, pairs, mu)
 
 
+def word(n, *letters):
+    return PauliWord.from_factors(n, [(site, sym, 1) for site, sym in letters])
+
+
 class TestSubstitute:
     def test_direct_site(self):
-        poly = substitute(xz_word([(2, "Z")]), asg_for(2, set()))
+        poly = substitute(word(2, (2, "Z")), asg_for(2, set()))
         assert poly.coeff(Monomial.from_dict({2: (A1,)})) == pytest.approx(1.0)
         assert len(poly) == 1
 
     def test_pair_site_x(self):
-        poly = substitute(xz_word([(1, "X")]), asg_for(1, {1}))
+        poly = substitute(word(1, (1, "X")), asg_for(1, {1}))
         c = 1 / SQRT2
         assert poly.coeff(Monomial.from_dict({1: (A0,)})) == pytest.approx(c)
         assert poly.coeff(Monomial.from_dict({1: (A1,)})) == pytest.approx(c)
 
     def test_pair_site_xz_product(self):
         # (A0+A1)(A0-A1)/2 reduces to (A1 A0 - A0 A1)/2
-        poly = substitute(xz_word([(1, "X"), (1, "Z")]), asg_for(1, {1}))
+        poly = substitute(word(1, (1, "X"), (1, "Z")), asg_for(1, {1}))
         assert poly.coeff(Monomial.from_dict({1: (A1, A0)})) == pytest.approx(0.5)
         assert poly.coeff(Monomial.from_dict({1: (A0, A1)})) == pytest.approx(-0.5)
         assert len(poly) == 2
@@ -40,7 +45,7 @@ class TestSubstitute:
     def test_pair_site_xz_materializes_to_xz(self):
         # cross-check the sign convention against the canonical matrices
         from bellcert.verify import canonical_realization, materialize
-        poly = substitute(xz_word([(1, "X"), (1, "Z")]), asg_for(1, {1}))
+        poly = substitute(word(1, (1, "X"), (1, "Z")), asg_for(1, {1}))
         h = materialize(poly, canonical_realization(asg_for(1, {1})))
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         z = np.diag([1.0, -1.0]).astype(complex)
@@ -48,29 +53,27 @@ class TestSubstitute:
 
     def test_multiplicative(self, rng, five_qubit):
         asg = asg_for(5, {1})
-        w1 = xz_word([(1, "X"), (2, "Z")])
-        w2 = xz_word([(1, "Z"), (3, "X")])
-        combined = substitute(w1 + w2, asg)
+        w1 = word(5, (1, "X"), (2, "Z"))
+        w2 = word(5, (1, "Z"), (3, "X"))
+        combined = substitute(w1 * w2, asg)
         assert combined.allclose(substitute(w1, asg) * substitute(w2, asg), 1e-12)
 
     def test_out_of_range_site(self):
         with pytest.raises(ValueError):
-            substitute(xz_word([(3, "X")]), asg_for(2, set()))
+            substitute(word(3, (3, "X")), asg_for(2, set()))
 
 
 class TestBuildTilted:
     def test_theta_zero_is_logical_z(self, five_qubit):
         asg = asg_for(5, {1})
-        from bellcert.compile import xz_word_from_pauli
         tilted = build_tilted(0.0, five_qubit, asg)
-        zbar = substitute(xz_word_from_pauli(five_qubit.logical_z), asg)
+        zbar = substitute(five_qubit.logical_z, asg)
         assert tilted.allclose(zbar, 1e-12)
 
     def test_theta_quarter_pi_is_logical_x(self, five_qubit):
         asg = asg_for(5, {1})
-        from bellcert.compile import xz_word_from_pauli
         tilted = build_tilted(math.pi / 4, five_qubit, asg)
-        xbar = substitute(xz_word_from_pauli(five_qubit.logical_x), asg)
+        xbar = substitute(five_qubit.logical_x, asg)
         assert tilted.allclose(xbar, 1e-12)
 
     def test_term_count_at_intermediate_angle(self, five_qubit):
@@ -110,7 +113,7 @@ class TestBuildBell:
 
     def test_single_direct_operator_reduced(self):
         cert = SOSCertificate(n=2, theta=0.0, alpha0=0.0, alphas=(1.0,),
-                              operators=(xz_word([(1, "X"), (2, "Z")]),),
+                              operators=(word(2, (1, "X"), (2, "Z")),),
                               pair_sites=frozenset())
         compiled = build_bell(cert)
         # all-direct operators square to 1 identically, so the reduced
@@ -147,8 +150,8 @@ class TestCancellation:
 
     def test_all_direct_always_cancels(self):
         cert = SOSCertificate(n=3, theta=0.0, alpha0=0.0, alphas=(2.0, 3.0),
-                              operators=(xz_word([(1, "X"), (2, "X")]),
-                                         xz_word([(2, "Z"), (3, "Z")])),
+                              operators=(word(3, (1, "X"), (2, "X")),
+                                         word(3, (2, "Z"), (3, "Z"))),
                               pair_sites=frozenset())
         assert build_bell(cert).reduced_form
 

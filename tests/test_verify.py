@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bellcert import verify
 from bellcert.compile import (SOSCertificate, build_bell, chsh_certificate,
-                              chsh_polynomial, default_certificate,
-                              default_operators)
+                              chsh_polynomial, default_certificate)
 from bellcert.pauli import PauliWord, StabilizerCode, code_preset, load_code
 from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
 from bellcert.verify import (Realization, RealizationError,
@@ -282,10 +281,10 @@ class TestSectorRoute:
                                                       monkeypatch):
         # Z_1 anticommutes with S_1 = X Z Z X I, so the polynomial leaves the
         # normalizer and no sector block exists
-        operators, _ = default_operators(five_qubit)
+        operators = default_certificate(five_qubit).operators
         cert = SOSCertificate(
             n=5, theta=0.0, alpha0=0.0, alphas=(1.0,) * 5,
-            operators=operators + (((1, "Z"),),),
+            operators=operators + (PauliWord.from_factors(5, [(1, "Z", 1)]),),
             pair_sites=five_qubit.pair_sites, code_name="five_qubit")
         compiled = build_bell(cert, five_qubit)
         real = canonical_realization(compiled.assignment)
