@@ -1,8 +1,7 @@
 """Command-line pipeline: codes -> bell -> verify -> selftest -> simulate.
 
 Exit codes: 0 success/pass, 1 internal or failed verification, 2 usage
-(including inputs above a size cap, and mu != pi/4 for the checks that
-need the canonical realization), 3 deduction unknown, 4 deduction
+(including inputs above a size cap), 3 deduction unknown, 4 deduction
 contradiction, 5 capability (polynomial not estimable by single-measurement
 rounds).
 """
@@ -12,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -75,7 +75,12 @@ def _inputs(args):
     if args.code != "chsh" and (args.code or args.code_file or not poly_file):
         code = _load_code_arg(args)
     if poly_file:
-        return code, None, compiler.parse(Path(poly_file).read_text())
+        try:
+            return code, None, compiler.parse(Path(poly_file).read_text())
+        except KeyError as exc:
+            raise UsageError(f"malformed polynomial file: missing {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise UsageError(f"malformed polynomial file: {exc}") from exc
     if code is None:
         compiled = compiler.build_bell(compiler.chsh_certificate())
     else:
@@ -87,31 +92,30 @@ def _inputs(args):
     return code, compiled, compiled.poly
 
 
+def _assignment(poly: BellPolynomial,
+                code: StabilizerCode | None = None) -> MeasurementAssignment:
+    """The measurement assignment poly.meta names: its n, pair sites and mu,
+    a missing field taken from the code if given, else poly.max_site(), no
+    pair sites and pi/4."""
+    meta = poly.meta
+    n, pair_sites = (code.n, code.pair_sites) if code else (poly.max_site(), ())
+    try:
+        asg = MeasurementAssignment(operator.index(meta.get("n") or n),
+                                    meta.get("pair_sites", pair_sites),
+                                    float(meta.get("mu", math.pi / 4)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"malformed polynomial meta: {exc}") from exc
+    if poly.max_site() > asg.n:
+        raise UsageError(f"polynomial touches site {poly.max_site()}, "
+                         f"beyond n = {asg.n}")
+    return asg
+
+
 def _spectrum(poly: BellPolynomial,
               bound: float | None = None) -> verify.SpectralReport:
     """Top of the spectrum at the canonical realization named by poly.meta."""
-    meta = poly.meta
-    asg = MeasurementAssignment.build(int(meta.get("n") or poly.max_site()),
-                                      meta.get("pair_sites", ()),
-                                      float(meta.get("mu", math.pi / 4)))
-    real = verify.canonical_realization(asg)
+    real = verify.canonical_realization(_assignment(poly))
     return verify.max_eig(verify.materialize(poly, real), bound=bound)
-
-
-def _check_poly_fits(poly: BellPolynomial, code: StabilizerCode) -> None:
-    """Refuse a polynomial whose meta or sites name another code's layout."""
-    meta = poly.meta
-    if "n" in meta and int(meta["n"]) != code.n:
-        raise UsageError(f"polynomial is for n = {meta['n']} sites, "
-                         f"code {code.name} has {code.n}")
-    if ("pair_sites" in meta
-            and sorted(meta["pair_sites"]) != sorted(code.pair_sites)):
-        raise UsageError(f"polynomial pair sites {sorted(meta['pair_sites'])} "
-                         f"differ from code {code.name}'s "
-                         f"{sorted(code.pair_sites)}")
-    if poly.max_site() > code.n:
-        raise UsageError(f"polynomial touches site {poly.max_site()}, "
-                         f"code {code.name} has {code.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +252,16 @@ def cmd_simulate(args) -> int:
     code, _, poly = _inputs(args)
     if code is None:
         raise UsageError("simulate needs --code (not chsh) or --code-file")
-    _check_poly_fits(poly, code)
+    asg = _assignment(poly, code)
+    if (asg.n, asg.pair_sites) != (code.n, code.pair_sites):
+        raise UsageError(f"polynomial is for n = {asg.n} sites, pair sites "
+                         f"{sorted(asg.pair_sites)}; code {code.name} has "
+                         f"n = {code.n}, pair sites {sorted(code.pair_sites)}")
     needed = max(1, sum(not mono.is_identity for mono, _ in poly.terms()))
     if args.shots < needed:
         raise UsageError(f"--shots {args.shots} below {needed}: every sampled "
                          "monomial needs at least one shot")
-    strategy = sim.Strategy.from_code(code, theta=args.state_theta,
+    strategy = sim.Strategy.from_code(code, theta=args.state_theta, asg=asg,
                                       seed=args.seed)
     if args.action == "estimate":
         report = sim.estimate_bell(strategy, poly, args.shots,
@@ -355,8 +363,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, KeyError, CodeValidationError, SizeLimitError,
-            compiler.CertificateError, engine.ProblemError,
-            verify.RealizationError) as exc:
+            compiler.CertificateError, engine.ProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except sim.EstimationError as exc:

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .pauli import PauliWord, StabilizerCode, preset_data
-from .poly import (A0, A1, DIRECT, BellPolynomial, MeasurementAssignment,
-                   Monomial)
+from .poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
 
 SOS_TOL = 1e-10
 
@@ -63,7 +62,7 @@ class SOSCertificate:
                     f"operator {word} acts on {word.n} sites, not {self.n}")
 
     def assignment(self) -> MeasurementAssignment:
-        return MeasurementAssignment.build(self.n, self.pair_sites, self.mu)
+        return MeasurementAssignment(self.n, self.pair_sites, self.mu)
 
     def alpha_sum(self) -> float:
         return sum(self.alphas)
@@ -103,26 +102,26 @@ def substitute(word: PauliWord, asg: MeasurementAssignment) -> BellPolynomial:
     if word.q != 2:
         raise ValueError("only q=2 words translate to measurement settings")
     if word.phase != 0:
-        raise ValueError("word must be phase-free")
+        raise CertificateError("operator words must be phase-free")
     out = BellPolynomial.constant(1.0)
     for site, sym, _ in word.factors():
-        kind, mu = asg.role(site)
-        if kind == DIRECT:
+        if site > asg.n:
+            raise ValueError(f"site {site} out of range 1..{asg.n}")
+        if site not in asg.pair_sites:
             letter = A0 if sym == "X" else A1
             factor = BellPolynomial.monomial(Monomial.single(site, letter))
+        elif sym == "X":
+            c = 1.0 / (2.0 * math.cos(asg.mu))
+            factor = BellPolynomial({
+                Monomial.single(site, A0): c,
+                Monomial.single(site, A1): c,
+            })
         else:
-            if sym == "X":
-                c = 1.0 / (2.0 * math.cos(mu))
-                factor = BellPolynomial({
-                    Monomial.single(site, A0): c,
-                    Monomial.single(site, A1): c,
-                })
-            else:
-                c = 1.0 / (2.0 * math.sin(mu))
-                factor = BellPolynomial({
-                    Monomial.single(site, A0): c,
-                    Monomial.single(site, A1): -c,
-                })
+            c = 1.0 / (2.0 * math.sin(asg.mu))
+            factor = BellPolynomial({
+                Monomial.single(site, A0): c,
+                Monomial.single(site, A1): -c,
+            })
         out = out * factor
     return out
 

@@ -266,6 +266,11 @@ class StabilizerCode:
 
 
 def _is_prime(q: int) -> bool:
+    """Trial division, after refusing q above MAX_DENSE_DIM: one such site
+    alone exceeds the dense cap, and the division would stall on huge q."""
+    if q > MAX_DENSE_DIM:
+        raise SizeLimitError(
+            f"local dimension q={q} exceeds dense cap {MAX_DENSE_DIM}")
     if q < 2:
         return False
     for p in range(2, int(math.isqrt(q)) + 1):

@@ -9,6 +9,7 @@ letters survive.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -186,43 +187,20 @@ class BellPolynomial:
 # Measurement assignment
 # ---------------------------------------------------------------------------
 
-DIRECT = "direct"
-PAIR = "pair"
-
-
 @dataclass(frozen=True)
 class MeasurementAssignment:
-    """Role of each site: direct (X->A0, Z->A1) or a tilted pair with angle mu."""
+    """Sites 1..n; a pair site measures X and Z through the tilted pair at
+    angle mu (X -> (A0+A1)/(2 cos mu), Z -> (A0-A1)/(2 sin mu)), every
+    other site directly (X -> A0, Z -> A1)."""
 
     n: int
-    roles: tuple[tuple[str, float], ...]  # per site: (DIRECT, 0.0) or (PAIR, mu)
+    pair_sites: frozenset[int]
+    mu: float = math.pi / 4
 
     def __post_init__(self):
-        if len(self.roles) != self.n:
-            raise ValueError("one role per site required")
-        for kind, mu in self.roles:
-            if kind == PAIR:
-                if not 0.0 < mu < math.pi / 2:
-                    raise ValueError(f"pair angle mu={mu} outside (0, pi/2)")
-            elif kind != DIRECT:
-                raise ValueError(f"unknown role {kind!r}")
-
-    @classmethod
-    def build(cls, n: int, pair_sites: Iterable[int],
-              mu: float = math.pi / 4) -> "MeasurementAssignment":
-        pairs = set(pair_sites)
-        for s in pairs:
-            if not 1 <= s <= n:
-                raise ValueError(f"pair site {s} out of range 1..{n}")
-        roles = tuple((PAIR, mu) if s in pairs else (DIRECT, 0.0)
-                      for s in range(1, n + 1))
-        return cls(n, roles)
-
-    def role(self, site: int) -> tuple[str, float]:
-        if not 1 <= site <= self.n:
-            raise ValueError(f"site {site} out of range 1..{self.n}")
-        return self.roles[site - 1]
-
-    def pair_sites(self) -> frozenset[int]:
-        return frozenset(s for s in range(1, self.n + 1)
-                         if self.roles[s - 1][0] == PAIR)
+        object.__setattr__(self, "pair_sites", frozenset(self.pair_sites))
+        for s in self.pair_sites:
+            if not 1 <= operator.index(s) <= self.n:
+                raise ValueError(f"pair site {s} out of range 1..{self.n}")
+        if not 0.0 < self.mu < math.pi / 2:
+            raise ValueError(f"pair angle mu={self.mu} outside (0, pi/2)")

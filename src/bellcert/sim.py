@@ -69,10 +69,11 @@ class Strategy:
                   asg: MeasurementAssignment | None = None,
                   seed: int = 0) -> "Strategy":
         """Tilted codeword cos(theta)|0L> + sin(theta)|1L> with the
-        canonical realization for the code's pair sites."""
+        canonical realization of ``asg``, by default the code's pair sites
+        at mu = pi/4."""
         v0, v1 = logical_basis(code)
         state = math.cos(theta) * v0 + math.sin(theta) * v1
-        asg = asg or MeasurementAssignment.build(code.n, code.pair_sites)
+        asg = asg or MeasurementAssignment(code.n, code.pair_sites)
         return cls(state=state, realization=canonical_realization(asg), seed=seed)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .pauli import (PauliWord, SizeLimitError, StabilizerCode, apply_word,
                     code_preset, codespace_basis, mul)
-from .poly import COEFF_TOL, BellPolynomial, DIRECT, MeasurementAssignment
+from .poly import COEFF_TOL, BellPolynomial, MeasurementAssignment
 from .compile import CompiledInequality, build_bell, default_certificate
 
 EIG_CLUSTER_TOL = 1e-8
@@ -79,19 +79,13 @@ class Realization:
 
 
 def canonical_realization(asg: MeasurementAssignment) -> Realization:
-    """The Pauli-based assignment attaining the quantum bound (mu = pi/4 only)."""
-    pairs = []
-    sqrt2 = math.sqrt(2.0)
-    for site in range(1, asg.n + 1):
-        kind, mu = asg.role(site)
-        if kind == DIRECT:
-            pairs.append((_X.copy(), _Z.copy()))
-        else:
-            if abs(mu - math.pi / 4) > 1e-12:
-                raise RealizationError(
-                    f"canonical realization requires mu = pi/4, got {mu}")
-            pairs.append(((_X + _Z) / sqrt2, (_X - _Z) / sqrt2))
-    return Realization(tuple(pairs))
+    """The Pauli settings that invert ``compile.substitute``: X, Z on direct
+    sites and cos mu X +- sin mu Z on pair sites, whose (A0+A1)/(2 cos mu)
+    and (A0-A1)/(2 sin mu) are X and Z again."""
+    c, s = math.cos(asg.mu), math.sin(asg.mu)
+    return Realization(tuple(
+        (c * _X + s * _Z, c * _X - s * _Z) if site in asg.pair_sites
+        else (_X.copy(), _Z.copy()) for site in range(1, asg.n + 1)))
 
 
 def random_realization(n: int, rng: np.random.Generator,

@@ -1,9 +1,11 @@
 import json
 import math
+import time
 
+import numpy as np
 import pytest
 
-from bellcert import compile as compiler
+from bellcert import compile as compiler, sim, verify
 from bellcert.cli import main
 from bellcert.pauli import code_preset, load_code
 from bellcert.poly import A0, BellPolynomial, Monomial
@@ -55,6 +57,33 @@ class TestCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed code document: ")
         assert message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["codes", "show", "--code", "five_qudit:1000000000000000003"],
+        ["selftest", "deduce", "--code", "five_qudit:2305843009213693951"],
+        ["codes", "show", "--code-file", "DOC"],
+    ], ids=["preset-show", "preset-deduce", "document"])
+    def test_huge_q_refused_before_primality(self, argv, tmp_path, capsys):
+        doc = tmp_path / "code.json"
+        doc.write_text(json.dumps({**FIVE_QUBIT_DOC, "q": 2**61 - 1}))
+        argv = [str(doc) if arg == "DOC" else arg for arg in argv]
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "exceeds dense cap 16384" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all"], ["bell", "build"],
+    ["simulate", "estimate", "--seed", "1"], ["selftest", "deduce"],
+], ids=["verify", "bell", "simulate", "selftest"])
+def test_signed_generator_exits_2(argv, tmp_path, capsys):
+    doc = code_preset("steane").to_json()
+    doc["generators"][0]["phase"] = 2  # S1 = -X4 X5 X6 X7, a valid code
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps(doc))
+    assert run(argv + ["--code-file", str(path)]) == 2
+    assert capsys.readouterr().err == "error: operator words must be phase-free\n"
 
 
 class TestBell:
@@ -110,6 +139,35 @@ class TestVerify:
         assert run(["verify", "classical", "--poly-file", str(poly)]) == 2
         assert ("error: dimension 8192 exceeds dense matrix cap 4096"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc["meta"].update(mu="x"),
+        lambda doc: doc["meta"].update(n="two"),
+        lambda doc: doc["meta"].update(n=math.inf),
+        lambda doc: doc["meta"].update(n=2.7),
+        lambda doc: doc["meta"].update(mu=3.0),
+        lambda doc: doc["meta"].update(pair_sites=7),
+        lambda doc: doc["meta"].update(pair_sites=[3]),
+        lambda doc: doc["meta"].update(pair_sites=[1.5]),
+        lambda doc: doc["meta"].update(n=1),
+        lambda doc: doc["terms"][0]["factors"][0].update(word=["A2"]),
+        lambda doc: doc["terms"][0].pop("coeff"),
+        lambda doc: doc.update(terms=5),
+        lambda doc: doc.update(meta=5),
+    ], ids=["mu-str", "n-str", "n-inf", "n-float", "mu-range", "pair_sites-int",
+            "pair_sites-range", "pair_sites-float", "n-below-sites", "letter", "no-coeff",
+            "terms-int", "meta-int"])
+    def test_malformed_poly_file_exits_2(self, mutate, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        assert run(["bell", "build", "--code", "chsh", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "classical", "--poly-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed polynomial") or (
+            "touches site" in err), err
 
     def test_poly_file_refused_for_certificate_checks(self, tmp_path, capsys):
         poly = tmp_path / "p.json"
@@ -205,15 +263,27 @@ class TestVerify:
         assert run(["verify", "all"] + argv) == 0
         assert calls == {"substitute": subs, "square": squares}
 
-    def test_mu_off_canonical_exits_2(self, capsys):
-        # the SOS identity holds for any mu; the other checks need the
-        # canonical realization, which exists only at mu = pi/4
-        flags = ["--code", "five_qubit", "--mu", "0.7"]
-        assert run(["verify", "sos"] + flags) == 0
+    def test_every_check_passes_at_every_mu(self, monkeypatch, capsys):
+        # the canonical realization exists at every mu, and every verify
+        # all run takes the sector route: no dense matrix is built
+        for check in ("sos", "spectral", "classical"):
+            assert run(["verify", check, "--code", "five_qubit",
+                        "--mu", "0.7"]) == 0, check
+        calls = []
+        materialize = verify.materialize
+
+        def counting_materialize(*args):
+            calls.append(args)
+            return materialize(*args)
+
+        monkeypatch.setattr(verify, "materialize", counting_materialize)
+        for code in ("five_qubit", "steane", "shor"):
+            for mu in ("0.3", "0.7", "1.2"):
+                for cert in ([], ["--theta", "0.3", "--alpha0", "1"]):
+                    argv = ["verify", "all", "--code", code, "--mu", mu] + cert
+                    assert run(argv) == 0, argv
         capsys.readouterr()
-        for check in ("all", "spectral", "classical"):
-            assert run(["verify", check] + flags) == 2, check
-            assert "requires mu = pi/4" in capsys.readouterr().err
+        assert calls == []
 
     def test_sweep_needs_spectral_check(self, capsys):
         for check in ("all", "sos", "classical"):
@@ -347,6 +417,32 @@ class TestSimulate:
                 (["--code", "five_qubit"], site6, "touches site 6")):
             assert run(base + code_args + ["--poly-file", str(poly)]) == 2
             assert message in capsys.readouterr().err
+
+    def test_strategy_measures_at_the_polynomial_mu(self, monkeypatch,
+                                                    tmp_path, capsys):
+        # these weights cancel the squares at mu = 0.7 (reduced form); the
+        # strategy attains the bound only with settings at the same mu
+        cert = ["--code", "five_qubit", "--mu", "0.7",
+                "--alpha", "1,1,1,1.4188994317262345"]
+        path = tmp_path / "p.json"
+        assert run(["bell", "build", "--out", str(path)] + cert) == 0
+        seen = []
+        estimate = sim.estimate_bell
+
+        def capturing_estimate(strategy, poly, *args, **kwargs):
+            seen.append((strategy, poly))
+            return estimate(strategy, poly, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "estimate_bell", capturing_estimate)
+        base = ["simulate", "estimate", "--shots", "1000", "--seed", "1"]
+        assert run(base + cert) == 0
+        assert run(base + ["--code", "five_qubit", "--poly-file", str(path)]) == 0
+        capsys.readouterr()
+        for strategy, poly in seen:
+            assert poly.meta["reduced_form"]
+            h = verify.materialize(poly, strategy.realization)
+            value = np.vdot(strategy.state, h @ strategy.state).real
+            assert abs(value - poly.meta["bound"]) <= 1e-9
 
     def test_byte_identical_reruns(self, capsys):
         args = ["simulate", "estimate", "--code", "five_qubit",

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellcert.compile import (CertificateError, SOSCertificate, build_bell,
                               build_tilted, chsh_certificate, chsh_polynomial,
@@ -16,7 +17,7 @@ SQRT2 = math.sqrt(2)
 
 
 def asg_for(n, pairs, mu=math.pi / 4):
-    return MeasurementAssignment.build(n, pairs, mu)
+    return MeasurementAssignment(n, pairs, mu)
 
 
 def word(n, *letters):
@@ -240,21 +241,26 @@ class TestEmit:
     def test_empty_polynomial(self):
         assert emit(BellPolynomial(), "human") == "0"
 
-    def test_json_roundtrip_random(self, rng):
-        for _ in range(25):
-            coeffs = {}
-            for _ in range(int(rng.integers(1, 8))):
-                sites = rng.choice(range(1, 5), size=int(rng.integers(1, 3)),
-                                   replace=False)
-                mono = Monomial.from_dict(
-                    {int(s): tuple(int(v) for v in
-                                   rng.integers(0, 2, int(rng.integers(1, 4))))
-                     for s in sites})
-                coeffs[mono] = float(rng.normal())
-            poly = BellPolynomial(coeffs, meta={"n": 4, "pair_sites": [1]})
-            again = parse(emit(poly, "json"))
-            assert again.allclose(poly, 1e-15)
-            assert again.meta == poly.meta
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(data=st.data(), n=st.integers(1, 6))
+    def test_json_roundtrip_random(self, data, n):
+        words = st.lists(st.sampled_from((A0, A1)), min_size=1, max_size=3)
+        terms = data.draw(st.lists(st.tuples(
+            st.dictionaries(st.integers(1, n), words, max_size=n),
+            st.floats(-1e6, 1e6, allow_nan=False)), max_size=10))
+        poly = BellPolynomial.zero()
+        for site_words, coeff in terms:
+            poly = poly + BellPolynomial.monomial(
+                Monomial.from_dict(site_words), coeff)
+        poly.meta.update({
+            "n": n,
+            "pair_sites": sorted(data.draw(st.sets(st.integers(1, n)))),
+            "mu": data.draw(st.floats(0.0, math.pi / 2, exclude_min=True,
+                                      exclude_max=True)),
+        })
+        again = parse(emit(poly, "json"))
+        assert again.coeffs == poly.coeffs
+        assert again.meta == poly.meta
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

@@ -59,12 +59,13 @@ def test_terms_order_deterministic():
     assert sites == sorted(sites)
 
 
-def test_assignment_roles_and_validation():
-    asg = MeasurementAssignment.build(3, {2}, mu=math.pi / 4)
-    assert asg.role(1)[0] == "direct"
-    assert asg.role(2) == ("pair", math.pi / 4)
-    assert asg.pair_sites() == frozenset({2})
+def test_assignment_fields_and_validation():
+    asg = MeasurementAssignment(3, [2, 2], mu=0.7)
+    assert asg.pair_sites == frozenset({2}) and asg.mu == 0.7
+    assert MeasurementAssignment(3, ()).mu == math.pi / 4
     with pytest.raises(ValueError):
-        MeasurementAssignment.build(3, {5})
+        MeasurementAssignment(3, {5})
+    with pytest.raises(TypeError):
+        MeasurementAssignment(3, {1.5})
     with pytest.raises(ValueError):
-        MeasurementAssignment.build(2, {1}, mu=math.pi / 2)
+        MeasurementAssignment(2, {1}, mu=math.pi / 2)

@@ -23,7 +23,7 @@ def direct_realization(n):
 def bell_pair_strategy(seed=0):
     state = np.zeros(4, dtype=complex)
     state[0] = state[3] = 1 / SQRT2
-    asg = MeasurementAssignment.build(2, {1})
+    asg = MeasurementAssignment(2, {1})
     return Strategy(state, canonical_realization(asg), seed=seed)
 
 

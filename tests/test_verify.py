@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from bellcert import verify
 from bellcert.compile import (SOSCertificate, build_bell, chsh_certificate,
-                              chsh_polynomial, default_certificate)
+                              chsh_polynomial, default_certificate, substitute)
 from bellcert.pauli import PauliWord, StabilizerCode, code_preset, load_code
 from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
-from bellcert.verify import (Realization, RealizationError,
-                             canonical_realization, canonicalize_pair,
+from bellcert.verify import (Realization, canonical_realization,
+                             canonicalize_pair,
                              check_selftest, classical_bound, codespace_basis,
                              logical_basis, materialize, max_eig,
                              principal_angle_sin, qudit_codespace,
@@ -23,7 +23,7 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def asg(n, pairs):
-    return MeasurementAssignment.build(n, pairs)
+    return MeasurementAssignment(n, pairs)
 
 
 class TestCanonicalRealization:
@@ -44,10 +44,15 @@ class TestCanonicalRealization:
         vals = np.linalg.eigvalsh(real.obs(1, 0))
         assert np.allclose(sorted(vals), [-1.0, 1.0])
 
-    def test_other_mu_rejected(self):
-        bad = MeasurementAssignment.build(1, {1}, mu=math.pi / 3)
-        with pytest.raises(RealizationError):
-            canonical_realization(bad)
+    def test_inverts_substitute_at_every_mu(self):
+        # the settings turn substitute(X) and substitute(Z) back into X, Z
+        for mu in (0.3, 0.7, 1.2):
+            pair = MeasurementAssignment(1, {1}, mu=mu)
+            real = canonical_realization(pair)
+            for sym, pauli in (("X", X), ("Z", Z)):
+                word = PauliWord.from_factors(1, [(1, sym, 1)])
+                h = materialize(substitute(word, pair), real)
+                assert np.abs(h - pauli).max() <= 1e-12, (mu, sym)
 
 
 class TestMaterialize:
@@ -72,7 +77,7 @@ class TestMaterialize:
     def test_dimension_guard(self):
         # refused before the dim x dim matrix is allocated
         for n in (14, 15, 64):
-            big = canonical_realization(MeasurementAssignment.build(n, set()))
+            big = canonical_realization(MeasurementAssignment(n, set()))
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match="exceeds"):
