@@ -197,6 +197,8 @@ def cmd_verify(args) -> int:
     if args.check in ("classical", "all"):
         if "spectral" in checks:
             quantum = checks["spectral"]["max_eigenvalue"]
+        elif code is not None and compiled is not None:
+            quantum = verify.check_selftest(compiled, code).max_eigenvalue
         else:
             quantum = _spectrum(poly).max_eigenvalue
         classical = verify.classical_bound(poly)

@@ -38,6 +38,9 @@ SELFTEST_TOL = 1e-8  # bound attainment, codespace distance, 1 - fidelity
 # workspace).  2^12 gives 5 x 256 MiB = 1.25 GiB; 2^13 would need 5 GiB.
 MAX_MATRIX_DIM = 2**12
 
+# classical_bound at rank r keeps 3 x 2^r float64s; n <= 12 sites give r <= 24
+MAX_CLASSICAL_RANK = 24
+
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -227,6 +230,34 @@ def _pauli_sum(poly: BellPolynomial,
     return {key: c for key, c in total.items() if abs(c) > COEFF_TOL}
 
 
+def _gf2_coords(vectors: Iterable[int]) -> tuple[list[int], int]:
+    """(coords, rank): bit j of a vector's coords picks basis vector j, the
+    basis being the vectors independent of those before them, in order."""
+    echelon: dict[int, tuple[int, int]] = {}  # leading bit: (vector, coords)
+    coords = []
+    for v in vectors:
+        mix = 0
+        while v and v.bit_length() - 1 in echelon:
+            head, head_mix = echelon[v.bit_length() - 1]
+            v, mix = v ^ head, mix ^ head_mix
+        if v:
+            unit = 1 << len(echelon)
+            echelon[v.bit_length() - 1] = (v, mix ^ unit)
+            mix = unit
+        coords.append(mix)
+    return coords, len(echelon)
+
+
+def _walsh(a: np.ndarray) -> np.ndarray:
+    """out[s] = sum_t (-1)^popcount(s & t) a[t] along axis 0 (length 2^r),
+    by r butterfly passes."""
+    out = np.array(a)
+    for k in range(len(out).bit_length() - 1):
+        low, high = out.reshape(-1, 2, 1 << k, *out.shape[1:]).swapaxes(0, 1)
+        low[...], high[...] = low + high, low - high
+    return out
+
+
 def _symplectic_mask(word: PauliWord) -> int:
     x = sum(bit << k for k, bit in enumerate(word.x_exp))
     z = sum(bit << k for k, bit in enumerate(word.z_exp))
@@ -263,39 +294,17 @@ def sector_spectrum(poly: BellPolynomial, real: Realization,
             anticommute = ((a & b >> n) ^ (b & a >> n)).bit_count() & 1
             if anticommute != ({i, j} == {m, m + 1}):
                 return None
-    # xor basis keyed by leading bit: (row combination, rows it mixes)
-    echelon: dict[int, tuple[int, int]] = {}
-
-    def reduce_mask(v: int, mix: int = 0) -> tuple[int, int]:
-        while v and v.bit_length() - 1 in echelon:
-            head, head_mix = echelon[v.bit_length() - 1]
-            v, mix = v ^ head, mix ^ head_mix
-        return v, mix
-
-    for i, mask in enumerate(masks):
-        rest, mix = reduce_mask(mask, 1 << i)
-        if not rest:
-            return None
-        echelon[rest.bit_length() - 1] = (rest, mix)
     terms = _pauli_sum(poly, real)
-    sign_masks, blocks_of, coeffs = [], [], []
-    for (x, z), c in terms.items():
-        rest, mix = reduce_mask(x | z << n)
-        if rest:
-            return None
-        # X^x Z^z = i^(-p) S^a Xbar^bx Zbar^bz, with i^p the product's phase
+    coords, rank = _gf2_coords(masks + [x | z << n for x, z in terms])
+    if rank != m + 2 or coords[:m + 2] != [1 << i for i in range(m + 2)]:
+        return None
+    # X^x Z^z = i^(-p) S^a Xbar^bx Zbar^bz: mix = (a, bx, bz), i^p its phase
+    weights = np.zeros((1 << m, 4), dtype=complex)
+    for mix, c in zip(coords[m + 2:], terms.values()):
         product = reduce(mul, (rows[i] for i in range(m + 2) if mix >> i & 1),
                          PauliWord.identity(n))
-        sign_masks.append(mix & ((1 << m) - 1))
-        blocks_of.append(mix >> m)
-        coeffs.append(c * _I_INV_POW[product.phase])
-    syndromes = np.arange(1 << m)
-    parity = np.bitwise_count(syndromes[None, :] & np.array(
-        sign_masks, dtype=np.int64).reshape(-1, 1)) & 1
-    weights = np.zeros((len(coeffs), 4), dtype=complex)
-    weights[np.arange(len(coeffs)), blocks_of] = coeffs
-    blocks = np.tensordot((1.0 - 2.0 * parity.astype(float)).T @ weights,
-                          _SIGMA, axes=1)
+        weights[mix & (1 << m) - 1, mix >> m] += c * _I_INV_POW[product.phase]
+    blocks = np.tensordot(_walsh(weights), _SIGMA, axes=1)
     adjoint = blocks.conj().transpose(0, 2, 1)
     if np.abs(blocks - adjoint).max() > 1e-9:
         raise ValueError("matrix is not Hermitian")
@@ -504,29 +513,24 @@ def model_check_deduction(result, code: StabilizerCode,
 # ---------------------------------------------------------------------------
 
 def classical_bound(poly: BellPolynomial) -> float:
-    """Maximum over all deterministic +-1 assignments, by exact enumeration.
+    """Maximum over all deterministic +-1 assignments, exactly.
 
-    Each monomial evaluates to a parity of the assigned signs, so the scan
-    over 2^(2n) strategies vectorizes to popcounts.
+    A strategy s sets bit 2(k - 1) + x for A_x = -1 at site k, so a monomial
+    is (-1)^<s, mask>, mask marking its odd-count settings.  In a basis b_j
+    of the masks' span, <s, mask> = sum_j coord_j <s, b_j>, and (<s, b_j>)_j
+    takes every value in GF(2)^r: the 2^(2n) strategies give the 2^r values
+    of the Walsh-Hadamard transform of the coefficients at their coords.
     """
-    n = poly.max_site()
-    if n == 0:
-        return poly.constant_part()
-    if n > 10:
-        raise SizeLimitError(
-            f"enumeration over 2^{2 * n} assignments refused (n > 10)")
-    count = 1 << (2 * n)
-    strategies = np.arange(count, dtype=np.uint32)
-    total = np.full(count, 0.0)
-    for mono, coeff in poly.terms():
-        mask = np.uint32(0)
-        for site, word in mono.factors:
-            for setting in (0, 1):
-                if sum(1 for letter in word if letter == setting) % 2:
-                    mask |= np.uint32(1 << ((site - 1) * 2 + setting))
-        parity = np.bitwise_count(strategies & mask) & 1
-        total += coeff * (1.0 - 2.0 * parity)
-    return float(total.max())
+    terms = poly.terms()
+    coords, rank = _gf2_coords(
+        sum(word.count(x) % 2 << 2 * site - 2 + x
+            for site, word in mono.factors for x in (0, 1)) for mono, _ in terms)
+    if rank > MAX_CLASSICAL_RANK:
+        raise SizeLimitError(f"classical bound over a rank-{rank} span "
+                             f"refused (cap {MAX_CLASSICAL_RANK})")
+    weights = np.zeros(1 << rank)
+    np.add.at(weights, coords, [c for _, c in terms])
+    return float(_walsh(weights).max())
 
 
 # ---------------------------------------------------------------------------

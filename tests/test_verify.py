@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from bellcert import verify
 from bellcert.compile import (SOSCertificate, build_bell, chsh_certificate,
                               chsh_polynomial, default_certificate, substitute)
-from bellcert.pauli import PauliWord, StabilizerCode, code_preset, load_code
+from bellcert.pauli import (PauliWord, SizeLimitError, StabilizerCode,
+                            code_preset, load_code)
 from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
 from bellcert.verify import (Realization, canonical_realization,
                              canonicalize_pair,
@@ -308,7 +310,33 @@ class TestSectorRoute:
         assert not report.passed
 
 
+def _brute_classical(poly):
+    """Max over every +-1 assignment to the 2n settings, term by term."""
+    return max(
+        sum(c * math.prod(signs[2 * (site - 1) + x]
+                          for site, word in mono.factors for x in word)
+            for mono, c in poly.terms())
+        for signs in itertools.product((1, -1), repeat=2 * poly.max_site()))
+
+
 class TestClassicalBound:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_matches_brute_force(self, data, n):
+        # words up to three letters, e.g. (A0, A1, A0); an empty site map is
+        # a constant term
+        words = st.lists(st.sampled_from((A0, A1)), min_size=1, max_size=3)
+        terms = data.draw(st.lists(st.tuples(
+            st.dictionaries(st.integers(1, n), words, max_size=n),
+            st.floats(0.01, 3.0), st.sampled_from((1, -1))), max_size=12))
+        poly = BellPolynomial({Monomial.from_dict(sites): sign * c
+                               for sites, c, sign in terms})
+        bound = classical_bound(poly)
+        assert bound == pytest.approx(_brute_classical(poly), abs=1e-9)
+        for s in (1e-9, 1e6):
+            assert classical_bound(poly.scale(s)) == pytest.approx(
+                s * bound, rel=1e-9, abs=s * 1e-9)
+
     def test_chsh_exact(self):
         assert classical_bound(chsh_polynomial()) == 2.0
 
@@ -321,9 +349,15 @@ class TestClassicalBound:
         classical = classical_bound(compiled.poly)
         assert classical < compiled.bound - 0.1
 
-    def test_size_guard(self):
+    def test_no_site_cap(self):
+        # one term at site 11 spans rank 1, however many sites precede it
         poly = BellPolynomial({Monomial.from_dict({11: (A0,)}): 1.0})
-        with pytest.raises(ValueError):
+        assert classical_bound(poly) == 1.0
+
+    def test_size_guard(self):
+        poly = BellPolynomial({Monomial.from_dict({site: (A0,)}): 1.0
+                               for site in range(1, 26)})
+        with pytest.raises(SizeLimitError, match="rank-25"):
             classical_bound(poly)
 
     def test_word_parity_evaluation(self):
