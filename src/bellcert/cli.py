@@ -13,6 +13,7 @@ import json
 import math
 import operator
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import compile as compiler
@@ -178,9 +179,8 @@ def cmd_verify(args) -> int:
         if thetas:
             if code is None:
                 raise UsageError("--sweep needs --code or --code-file")
-            rows = verify.tilt_sweep(code, thetas, alpha0=args.alpha0 or 1.0,
-                                     alphas=compiled.certificate.alphas,
-                                     mu=args.mu, extras=not args.no_extras)
+            cert = replace(compiled.certificate, alpha0=args.alpha0 or 1.0)
+            rows = verify.tilt_sweep(cert, code, thetas)
             csv = "theta,max_eig,fidelity\n" + "\n".join(
                 f"{r['theta']:.10g},{r['max_eig']:.10g},{r['fidelity']:.10g}"
                 for r in rows) + "\n"

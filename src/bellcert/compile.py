@@ -269,18 +269,8 @@ def _emit_human(poly: BellPolynomial) -> str:
     return "\n".join(lines)
 
 
-def _mono_body(mono: Monomial, skip_site: int | None = None) -> str:
-    parts = []
-    for site, word in mono.factors:
-        if site == skip_site:
-            continue
-        parts.extend(f"A{letter}^{site}" for letter in word)
-    return " ".join(parts)
-
-
 def _term_line(coeff: float, mono: Monomial) -> str:
-    body = _mono_body(mono)
-    return f"{_fmt(coeff)} {body}".strip() if body else _fmt(coeff)
+    return _fmt(coeff) if mono.is_identity else f"{_fmt(coeff)} {mono}"
 
 
 def _grouped_lines(poly: BellPolynomial, pair_site: int) -> list[str]:
@@ -291,14 +281,13 @@ def _grouped_lines(poly: BellPolynomial, pair_site: int) -> list[str]:
     lines = []
     for rest in sorted(buckets):
         words = buckets[rest]
-        rest_body = _mono_body(Monomial(rest))
         plus, minus = words.get((A0,)), words.get((A1,))
         simple = set(words) <= {(), (A0,), (A1,)}
         if simple and plus is not None and minus is not None \
                 and () not in words and abs(abs(plus) - abs(minus)) <= 1e-12:
             sign = "+" if plus * minus > 0 else "-"
             head = f"{_fmt(plus)} (A0^{pair_site} {sign} A1^{pair_site})"
-            lines.append(f"{head} {rest_body}".strip())
+            lines.append(f"{head} {Monomial(rest)}" if rest else head)
         else:
             for word in sorted(words):
                 mono = Monomial(tuple(sorted(rest + ((pair_site, word),)))

@@ -21,6 +21,12 @@ import numpy as np
 
 MAX_DENSE_DIM = 2**14
 
+# A dim x dim complex matrix takes 16 dim^2 bytes, and verify.materialize
+# plus max_eig keep up to five alive at once (the sum, a term's kron product
+# and its scaled copy; then the hermitized copy, eigh's eigenvectors and its
+# workspace).  2^12 gives 5 x 256 MiB = 1.25 GiB; 2^13 would need 5 GiB.
+MAX_MATRIX_DIM = 2**12
+
 
 class CodeValidationError(ValueError):
     """Raised when a stabilizer code document violates an invariant."""
@@ -133,8 +139,9 @@ class PauliWord:
     def matrix(self) -> np.ndarray:
         """Dense matrix of dimension q^n (exact up to float rounding)."""
         dim = self.q**self.n
-        if dim > MAX_DENSE_DIM:
-            raise SizeLimitError(f"dimension {dim} exceeds dense cap {MAX_DENSE_DIM}")
+        if dim > MAX_MATRIX_DIM:
+            raise SizeLimitError(
+                f"dimension {dim} exceeds dense matrix cap {MAX_MATRIX_DIM}")
         return apply_word(self, np.eye(dim, dtype=complex))
 
     def __str__(self) -> str:

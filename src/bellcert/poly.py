@@ -175,9 +175,6 @@ class BellPolynomial:
     def allclose(self, other: "BellPolynomial", tol: float = COEFF_TOL) -> bool:
         return (self - other).is_zero(tol)
 
-    def constant_part(self) -> float:
-        return self.coeff(Monomial.identity())
-
     def __repr__(self) -> str:
         n = len(self.coeffs)
         return f"BellPolynomial({n} term{'s' if n != 1 else ''})"

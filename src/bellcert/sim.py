@@ -28,7 +28,7 @@ from .verify import Realization, canonical_realization, logical_basis
 # One monomial's draw keeps about 33 bytes per shot alive (the int64 index
 # array, its per-site bits, the float64 products and, under noise, the flip
 # draws; tracemalloc peak at 1e6 shots, p = 0 and 0.1).  2^25 shots take
-# 2^25 x 33 B = 1.1 GB, in line with verify.MAX_MATRIX_DIM's 1.25 GiB.
+# 2^25 x 33 B = 1.1 GB, in line with pauli.MAX_MATRIX_DIM's 1.25 GiB.
 MAX_SHOTS = 2**25
 
 

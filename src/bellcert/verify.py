@@ -12,37 +12,37 @@ i^(-p) (-1)^(a.s) times a 2 x 2 logical Pauli.  One batched eigh over the 2^(n-1
 blocks gives the whole spectrum.  Polynomials without a code, random
 realizations and words outside the normalizer use the dense route instead:
 ``materialize`` builds the 2^n x 2^n matrix and ``max_eig`` diagonalizes it.
-Both routes refuse dimensions above ``MAX_MATRIX_DIM`` = 2^12.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import (PauliWord, SizeLimitError, StabilizerCode, apply_word,
-                    code_preset, codespace_basis, mul)
+from .pauli import (MAX_MATRIX_DIM, PauliWord, SizeLimitError, StabilizerCode,
+                    apply_word, code_preset, codespace_basis, mul)
 from .poly import COEFF_TOL, BellPolynomial, MeasurementAssignment
-from .compile import CompiledInequality, build_bell, default_certificate
+from .compile import CompiledInequality, SOSCertificate, build_bell
 
 EIG_CLUSTER_TOL = 1e-8
 SELFTEST_TOL = 1e-8  # bound attainment, codespace distance, 1 - fidelity
 
-# A dim x dim complex matrix takes 16 dim^2 bytes, and materialize plus
-# max_eig keep up to five alive at once (the sum, a term's kron product and
-# its scaled copy; then the hermitized copy, eigh's eigenvectors and its
-# workspace).  2^12 gives 5 x 256 MiB = 1.25 GiB; 2^13 would need 5 GiB.
-MAX_MATRIX_DIM = 2**12
+# sector_spectrum peaks near 336 bytes per syndrome sector (tracemalloc,
+# n = 12..19), so 2^21 sectors (n <= 22) stay within MAX_MATRIX_DIM's 1.25 GiB.
+MAX_SECTORS = 2**21
 
 # classical_bound at rank r keeps 3 x 2^r float64s; n <= 12 sites give r <= 24
 MAX_CLASSICAL_RANK = 24
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# sigma_b = X^(b & 1) Z^(b >> 1): the Pauli basis of one qubit, and of one
+# sector's logical block (b = 1 for Xbar, b = 2 for Zbar).
+_SIGMA = np.array([np.eye(2), _X, _Z, _X @ _Z], dtype=complex)
 
 
 class RealizationError(ValueError):
@@ -81,14 +81,24 @@ class Realization:
         return self.observables[site - 1][setting]
 
 
-def canonical_realization(asg: MeasurementAssignment) -> Realization:
-    """The Pauli settings that invert ``compile.substitute``: X, Z on direct
-    sites and cos mu X +- sin mu Z on pair sites, whose (A0+A1)/(2 cos mu)
+def _setting_paulis(asg: MeasurementAssignment, site: int
+                    ) -> tuple[tuple[tuple[int, int, float], ...], ...]:
+    """Settings 0 and 1 at a site as (x, z, c) terms, each sum c X^x Z^z:
+    the Pauli settings that invert ``compile.substitute``.  X, Z on a direct
+    site and cos mu X +- sin mu Z on a pair site, whose (A0+A1)/(2 cos mu)
     and (A0-A1)/(2 sin mu) are X and Z again."""
+    if site not in asg.pair_sites:
+        return ((1, 0, 1.0),), ((0, 1, 1.0),)
     c, s = math.cos(asg.mu), math.sin(asg.mu)
+    return ((1, 0, c), (0, 1, s)), ((1, 0, c), (0, 1, -s))
+
+
+def canonical_realization(asg: MeasurementAssignment) -> Realization:
+    """The 2 x 2 matrices of the settings ``_setting_paulis`` lists."""
     return Realization(tuple(
-        (c * _X + s * _Z, c * _X - s * _Z) if site in asg.pair_sites
-        else (_X.copy(), _Z.copy()) for site in range(1, asg.n + 1)))
+        tuple(sum(c * _SIGMA[x | z << 1] for x, z, c in terms)
+              for terms in _setting_paulis(asg, site))
+        for site in range(1, asg.n + 1)))
 
 
 def random_realization(n: int, rng: np.random.Generator,
@@ -109,20 +119,15 @@ def random_realization(n: int, rng: np.random.Generator,
     return Realization(tuple(pairs))
 
 
-def _capped_dim(real: Realization) -> int:
-    dim = real.total_dim()
-    if dim > MAX_MATRIX_DIM:
-        raise SizeLimitError(
-            f"dimension {dim} exceeds dense matrix cap {MAX_MATRIX_DIM}")
-    return dim
-
-
 def materialize(poly: BellPolynomial, real: Realization) -> np.ndarray:
     """Dense matrix of a polynomial under a realization (fixed term order)."""
     if poly.max_site() > real.n:
         raise ValueError(f"polynomial touches site {poly.max_site()} "
                          f"but realization has {real.n}")
-    dim = _capped_dim(real)
+    dim = real.total_dim()
+    if dim > MAX_MATRIX_DIM:
+        raise SizeLimitError(
+            f"dimension {dim} exceeds dense matrix cap {MAX_MATRIX_DIM}")
     out = np.zeros((dim, dim), dtype=complex)
     eyes = [np.eye(real.dim(s), dtype=complex) for s in range(1, real.n + 1)]
     for mono, coeff in poly.terms():
@@ -182,40 +187,30 @@ def _top_cluster(vals: np.ndarray) -> tuple[float, np.ndarray, float]:
 # Syndrome sectors
 # ---------------------------------------------------------------------------
 
-# sigma_b = X^(b & 1) Z^(b >> 1): the Pauli basis of one qubit, and of one
-# sector's logical block (b = 1 for Xbar, b = 2 for Zbar).
-_SIGMA = np.array([np.eye(2), _X, _Z, _X @ _Z], dtype=complex)
 _I_INV_POW = np.array([1, -1j, -1, 1j])  # i^(-p) for p = 0..3
 
 
-def _pauli_coeffs(obs: np.ndarray) -> list[tuple[int, int, complex]]:
-    """(x, z, c) with obs = sum c X^x Z^z over the nonzero c."""
-    coeffs = [np.vdot(sigma, obs) / 2 for sigma in _SIGMA]
-    return [(b & 1, b >> 1, c) for b, c in enumerate(coeffs)
-            if abs(c) > COEFF_TOL]
-
-
 def _pauli_sum(poly: BellPolynomial,
-               real: Realization) -> dict[tuple[int, int], complex]:
-    """poly at a qubit realization as {(x mask, z mask): c}, c X^x Z^z summed.
+               asg: MeasurementAssignment) -> dict[tuple[int, int], complex]:
+    """poly at the canonical realization as {(x mask, z mask): c}, c X^x Z^z
+    summed.
 
-    Bit k - 1 of a mask belongs to site k; each setting is expanded in the
-    Pauli basis of its 2 x 2 observable, and collected coefficients at or
-    below COEFF_TOL are dropped.
+    Bit k - 1 of a mask belongs to site k; each setting is expanded by
+    ``_setting_paulis``, and collected coefficients at or below COEFF_TOL
+    are dropped.
     """
-    letters = [[_pauli_coeffs(real.obs(site, x)) for x in (0, 1)]
-               for site in range(1, real.n + 1)]
     site_words: dict[tuple[int, tuple[int, ...]], dict] = {}
     total: dict[tuple[int, int], complex] = {}
     for mono, coeff in poly.terms():
         acc = {(0, 0): complex(coeff)}
         for site, word in mono.factors:
             if (site, word) not in site_words:
+                settings = _setting_paulis(asg, site)
                 local = {(0, 0): 1.0}
                 for letter in word:
                     nxt: dict[tuple[int, int], complex] = {}
                     for (x, z), c in local.items():
-                        for lx, lz, lc in letters[site - 1][letter]:
+                        for lx, lz, lc in settings[letter]:
                             # Z^z X^lx = (-1)^(z lx) X^lx Z^z
                             key = (x ^ lx, z ^ lz)
                             nxt[key] = nxt.get(key, 0) + (-1)**(z & lx) * lc * c
@@ -264,7 +259,7 @@ def _symplectic_mask(word: PauliWord) -> int:
     return x | z << word.n
 
 
-def sector_spectrum(poly: BellPolynomial, real: Realization,
+def sector_spectrum(poly: BellPolynomial, asg: MeasurementAssignment,
                     code: StabilizerCode
                     ) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenvalues and eigenvectors of poly per syndrome sector, or None.
@@ -274,17 +269,18 @@ def sector_spectrum(poly: BellPolynomial, real: Realization,
     written in the basis (|0L>_s, Xbar|0L>_s) with Zbar|0L>_s = |0L>_s, so
     row 0 is the codespace in the convention of ``logical_basis``.  Returns
     None, for the dense route to take over, unless the code is a qubit code
-    with k = 1 on the realization's qubits whose generators and logicals
-    are independent involutions with the commutation of a stabilizer code,
-    and every word of the polynomial lies in the normalizer.  Refuses
-    dimensions above MAX_MATRIX_DIM, like ``materialize``.
+    with k = 1 on the assignment's sites whose generators and logicals are
+    independent involutions with the commutation of a stabilizer code, and
+    every word of the polynomial at the canonical realization lies in the
+    normalizer.  Refuses more than MAX_SECTORS sectors.
     """
-    _capped_dim(real)
     n, m = code.n, len(code.generators)
-    if (code.q != 2 or code.k != 1 or m != n - 1 or real.n != n
-            or poly.max_site() > n
-            or any(real.dim(site) != 2 for site in range(1, n + 1))):
+    if (code.q != 2 or code.k != 1 or m != n - 1 or asg.n != n
+            or poly.max_site() > n):
         return None
+    if 1 << m > MAX_SECTORS:
+        raise SizeLimitError(f"{1 << m} syndrome sectors exceed the sector "
+                             f"cap {MAX_SECTORS}")
     rows = code.generators + (code.logical_x, code.logical_z)
     masks = [_symplectic_mask(w) for w in rows]
     for i, a in enumerate(masks):
@@ -294,7 +290,7 @@ def sector_spectrum(poly: BellPolynomial, real: Realization,
             anticommute = ((a & b >> n) ^ (b & a >> n)).bit_count() & 1
             if anticommute != ({i, j} == {m, m + 1}):
                 return None
-    terms = _pauli_sum(poly, real)
+    terms = _pauli_sum(poly, asg)
     coords, rank = _gf2_coords(masks + [x | z << n for x, z in terms])
     if rank != m + 2 or coords[:m + 2] != [1 << i for i in range(m + 2)]:
         return None
@@ -413,9 +409,8 @@ def check_selftest(compiled: CompiledInequality,
     ``sector_spectrum`` where it applies, else from the dense matrix.
     """
     cert = compiled.certificate
-    real = canonical_realization(compiled.assignment)
     target = np.array([math.cos(cert.theta), math.sin(cert.theta)])
-    sectors = sector_spectrum(compiled.poly, real, code)
+    sectors = sector_spectrum(compiled.poly, compiled.assignment, code)
     if sectors is not None:
         vals, vecs = sectors
         top, _, gap = _top_cluster(np.sort(vals, axis=None))
@@ -427,6 +422,7 @@ def check_selftest(compiled: CompiledInequality,
         fid = (float(abs(np.vdot(vecs[0, :, col], target))**2)
                if sector == 0 else 0.0)
     else:
+        real = canonical_realization(compiled.assignment)
         spec = max_eig(materialize(compiled.poly, real))
         top, mult, gap = spec.max_eigenvalue, spec.multiplicity, spec.gap
         if cert.alpha0 == 0:
@@ -457,17 +453,13 @@ def check_selftest(compiled: CompiledInequality,
     return report
 
 
-def tilt_sweep(code: StabilizerCode, thetas: Iterable[float],
-               alpha0: float = 1.0,
-               alphas: Sequence[float] | None = None,
-               mu: float = math.pi / 4,
-               extras: bool = True) -> list[dict]:
-    """Rows (theta, max_eig, fidelity) for a sweep of tilt angles."""
+def tilt_sweep(cert: SOSCertificate, code: StabilizerCode,
+               thetas: Iterable[float]) -> list[dict]:
+    """Rows (theta, max_eig, fidelity) for cert retilted to each angle."""
     rows = []
     for theta in thetas:
-        cert = default_certificate(code, theta=theta, alpha0=alpha0,
-                                   alphas=alphas, mu=mu, extras=extras)
-        report = check_selftest(build_bell(cert, code), code)
+        retilted = build_bell(replace(cert, theta=theta), code)
+        report = check_selftest(retilted, code)
         rows.append({
             "theta": float(theta),
             "max_eig": report.max_eigenvalue,

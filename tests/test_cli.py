@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bellcert.poly import A0, BellPolynomial, Monomial
 from bellcert.sim import MAX_SHOTS
 
 FIVE_QUBIT_DOC = code_preset("five_qubit").to_json()
+QRM15 = Path(__file__).parent / "fixtures" / "qrm15.json"
 
 
 def run(argv):
@@ -124,6 +126,36 @@ class TestVerify:
         assert doc["checks"]["sos"]["passed"]
         assert doc["checks"]["classical"]["classical_bound"] == pytest.approx(
             2 * math.sqrt(2))  # compiled fixture is sqrt(2) * CHSH
+
+    @pytest.mark.parametrize("tilt, top, mult", [
+        ([], 28.0, 2), (["--theta", "0.3", "--alpha0", "1"], 29.0, 1)])
+    def test_quantum_reed_muller_15(self, tilt, top, mult, capsys):
+        # [[15,1,3]]: 2^15 exceeds the dense matrix cap, its 2^14 syndrome
+        # sectors do not
+        assert run(["verify", "all", "--code-file", str(QRM15)] + tilt) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        spectral, classical = checks["spectral"], checks["classical"]
+        assert (spectral["bound"], spectral["multiplicity"]) == (top, mult)
+        assert spectral["max_eigenvalue"] == pytest.approx(top, abs=1e-9)
+        assert spectral["gap"] == pytest.approx(4.0, abs=1e-9)
+        assert classical["classical_bound"] == pytest.approx(
+            12 + 8 * math.sqrt(2), abs=1e-9)
+
+    def test_sectors_above_cap_exit_2(self, tmp_path, capsys):
+        # the 23-qubit repetition code has 2^22 syndrome sectors
+        n = 23
+        zero = [0] * n
+        doc = {"name": "repetition23", "n": n, "k": 1, "q": 2,
+               "generators": [{"x": zero, "z": [int(k in (i, i + 1))
+                                                for k in range(n)]}
+                              for i in range(n - 1)],
+               "logical_x": {"x": [1] * n, "z": zero},
+               "logical_z": {"x": zero, "z": [1] + zero[1:]}}
+        path = tmp_path / "repetition23.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", "all", "--code-file", str(path)]) == 2
+        assert ("error: 4194304 syndrome sectors exceed the sector cap "
+                "2097152" in capsys.readouterr().err)
 
     def test_poly_file_classical(self, tmp_path, capsys):
         poly = tmp_path / "p.json"

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from bellcert.pauli import (CodeValidationError, PauliWord, StabilizerCode,
-                            apply_word, code_preset, codespace_basis,
-                            comm_exponent, load_code, mul, stabilizer_group,
-                            validate_code)
+from bellcert.pauli import (CodeValidationError, PauliWord, SizeLimitError,
+                            StabilizerCode, apply_word, code_preset,
+                            codespace_basis, comm_exponent, load_code, mul,
+                            stabilizer_group, validate_code)
 from bellcert.verify import principal_angle_sin
 
 
@@ -67,6 +67,12 @@ def test_dagger_matches_adjoint(rng):
         for _ in range(50):
             w = _rand_word(rng, 2, q)
             assert np.allclose(w.dagger().matrix(), w.matrix().conj().T)
+
+
+def test_matrix_refused_above_dense_matrix_cap():
+    # 2^13 x 2^13 complex is 1 GiB, before apply_word's copies of that size
+    with pytest.raises(SizeLimitError, match="8192 exceeds dense matrix cap"):
+        PauliWord.identity(13).matrix()
 
 
 def test_apply_word_matches_matrix(rng):

@@ -186,7 +186,8 @@ class TestSelftestChecks:
         assert abs(np.vdot(rep.eigenbasis[:, 0], v0))**2 >= 1 - 1e-8
 
     def test_tilt_sweep_rows(self, five_qubit):
-        rows = tilt_sweep(five_qubit, [math.pi / 12, math.pi / 6])
+        cert = default_certificate(five_qubit, alpha0=1.0)
+        rows = tilt_sweep(cert, five_qubit, [math.pi / 12, math.pi / 6])
         assert len(rows) == 2
         for row in rows:
             assert row["fidelity"] >= 1 - 1e-8
@@ -237,7 +238,8 @@ class TestSectorRoute:
                                        alphas=alphas)
             compiled = build_bell(cert, code)
             real = canonical_realization(compiled.assignment)
-            assert sector_spectrum(compiled.poly, real, code) is not None
+            assert sector_spectrum(compiled.poly, compiled.assignment,
+                                   code) is not None
             report = check_selftest(compiled, code)
             spec = max_eig(materialize(compiled.poly, real))
             assert report.multiplicity == spec.multiplicity
@@ -268,7 +270,8 @@ class TestSectorRoute:
             cert = default_certificate(five_qubit, theta=0.4, alpha0=alpha0)
             compiled = build_bell(cert, flipped)
             real = canonical_realization(compiled.assignment)
-            assert sector_spectrum(compiled.poly, real, flipped) is not None
+            assert sector_spectrum(compiled.poly, compiled.assignment,
+                                   flipped) is not None
             report = check_selftest(compiled, flipped)
             spec = max_eig(materialize(compiled.poly, real))
             assert report.multiplicity == spec.multiplicity
@@ -295,7 +298,8 @@ class TestSectorRoute:
             pair_sites=five_qubit.pair_sites, code_name="five_qubit")
         compiled = build_bell(cert, five_qubit)
         real = canonical_realization(compiled.assignment)
-        assert sector_spectrum(compiled.poly, real, five_qubit) is None
+        assert sector_spectrum(compiled.poly, compiled.assignment,
+                               five_qubit) is None
         calls = []
         monkeypatch.setattr(verify, "materialize",
                             lambda *a: calls.append(1) or materialize(*a))
