@@ -214,6 +214,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.budget_facts < 1:
+        raise UsageError("--budget-facts must be >= 1")
     code = _load_code_arg(args)
     budget = engine.Budget(max_facts=args.budget_facts)
     if args.action == "deduce":

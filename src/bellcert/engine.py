@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .pauli import StabilizerCode, preset_data
 
@@ -114,6 +114,15 @@ class Budget:
     max_rounds: int = 64
     combine: str = "even"
 
+    def __post_init__(self):
+        if self.combine not in ("even", "all"):
+            raise ProblemError(
+                f"combine must be 'even' or 'all', not {self.combine!r}")
+        for name in ("max_facts", "max_word_letters", "max_products",
+                     "max_rounds"):
+            if getattr(self, name) < 0:
+                raise ProblemError(f"{name} must be >= 0")
+
 
 # ---------------------------------------------------------------------------
 # Word normalization
@@ -122,7 +131,7 @@ class Budget:
 #     operator(factors) == omega^ph * operator(word).
 # ---------------------------------------------------------------------------
 
-def _normalize_site(runs: list[tuple[str, int]], site: int,
+def _normalize_site(runs: Iterable[tuple[str, int]], site: int,
                     problem: Problem) -> tuple[SiteRuns, int]:
     """Site-local normal form and the omega-phase extracted from it."""
     q = problem.q
@@ -165,9 +174,20 @@ def normalize(factors: Iterable[tuple[int, str, int]],
 
 
 def word_product(a: Word, b: Word, problem: Problem) -> tuple[Word, int]:
-    factors = [(site, sym, power) for site, runs in a for sym, power in runs]
-    factors += [(site, sym, power) for site, runs in b for sym, power in runs]
-    return normalize(factors, problem)
+    """Normal form of a * b for words a and b already in normal form.
+
+    Only the sites both words touch are renormalized: `_normalize_site`
+    returns a normal site word unchanged, with phase 0.
+    """
+    merged = dict(a)
+    phase = 0
+    for site, runs in b:
+        if site in merged:
+            runs, ph = _normalize_site(merged[site] + runs, site, problem)
+            phase += ph
+        merged[site] = runs
+    return (tuple((site, runs) for site, runs in sorted(merged.items()) if runs),
+            phase % problem.q)
 
 
 def word_dagger(a: Word, problem: Problem) -> tuple[Word, int]:
@@ -198,26 +218,21 @@ def render_word(a: Word) -> str:
 
 
 def _site_suffix_split(runs: SiteRuns, suffix: SiteRuns) -> SiteRuns | None:
-    """Strip `suffix` off the right end of `runs`; None if it does not fit."""
-    runs_l = list(runs)
-    for si in range(len(suffix) - 1, -1, -1):
-        if not runs_l:
-            return None
-        sym_s, pow_s = suffix[si]
-        sym_w, pow_w = runs_l[-1]
-        if sym_w != sym_s or pow_w * pow_s <= 0 or abs(pow_w) < abs(pow_s):
-            return None
-        leftover = pow_w - pow_s
-        if leftover:
-            # A partial run may only be the last (leftmost) suffix run
-            # consumed; otherwise the leftover blocks the next suffix run,
-            # which carries the other symbol.
-            if si > 0:
-                return None
-            runs_l[-1] = (sym_w, leftover)
-        else:
-            runs_l.pop()
-    return tuple(runs_l)
+    """Strip `suffix` off the right end of `runs`; None if it does not fit.
+
+    Every suffix run but the first must equal a run of `runs`: a partial
+    run left behind would block the next suffix run, which carries the
+    other symbol.  The first suffix run may take part of a run with the
+    same symbol and power sign.
+    """
+    head = len(runs) - len(suffix)
+    if head < 0 or runs[head + 1:] != suffix[1:]:
+        return None
+    (sym_w, pow_w), (sym_s, pow_s) = runs[head], suffix[0]
+    if sym_w != sym_s or pow_w * pow_s <= 0 or abs(pow_w) < abs(pow_s):
+        return None
+    leftover = pow_w - pow_s
+    return runs[:head] + ((sym_w, leftover),) if leftover else runs[:head]
 
 
 def _suffix_split(word: Word, suffix: Word) -> Word | None:
@@ -285,6 +300,14 @@ class Fact:
         self.letters = word_letters(self.word)
 
 
+def _facts_in(mask: int, facts: list[Fact]) -> Iterator[Fact]:
+    """The facts whose bits are set in `mask`, in ascending index."""
+    while mask:
+        low = mask & -mask
+        yield facts[low.bit_length() - 1]
+        mask ^= low
+
+
 @dataclass
 class Step:
     rule: str
@@ -340,21 +363,41 @@ class _Engine:
         self.contradiction: str | None = None
         self.products_used = 0
         self.r4_done: set[tuple[int, int, int]] = set()
+        # Candidate index, bit i standing for self.facts[i]: the facts that
+        # touch a site, and those whose last run there has a given symbol
+        # and power sign.  A fact can be a per-site suffix of a word only if
+        # its last run matches the word's at every site the fact touches.
+        self.touching: dict[int, int] = {}
+        self.ending: dict[tuple[int, str, bool], int] = {}
 
     # -- fact bookkeeping -------------------------------------------------
 
     def _rewrite(self, word: Word, phase: int) -> tuple[Word, int]:
         """Cancel fact words appearing as per-site suffixes (valid adjacent
-        to the state, which every stored fact is)."""
+        to the state, which every stored fact is).
+
+        Each pass tries the facts that lie on the word's sites and end like
+        it on each of theirs, in ascending index, and takes the first that
+        splits the word: every other fact fails `_suffix_split`, so this is
+        the first match of a scan over all facts.
+        """
         while word:
-            sites = frozenset(site for site, _ in word)
-            for fact in self.facts:
-                if fact.site_set <= sites:
-                    split = _suffix_split(word, fact.word)
-                    if split is not None:
-                        word = split
-                        phase = (phase - fact.phase) % self.q
-                        break
+            candidates = (1 << len(self.facts)) - 1
+            runs_at = dict(word)
+            for site, touching in self.touching.items():
+                runs = runs_at.get(site)
+                if runs is None:
+                    candidates &= ~touching
+                else:
+                    sym, power = runs[-1]
+                    candidates &= ~touching | self.ending.get(
+                        (site, sym, power > 0), 0)
+            for fact in _facts_in(candidates, self.facts):
+                split = _suffix_split(word, fact.word)
+                if split is not None:
+                    word = split
+                    phase = (phase - fact.phase) % self.q
+                    break
             else:
                 break
         return word, phase
@@ -379,6 +422,12 @@ class _Engine:
         fact = Fact(len(self.facts), word, phase, rule, premises)
         self.facts.append(fact)
         self.by_word[word] = fact
+        bit = 1 << fact.idx
+        for site, runs in word:
+            self.touching[site] = self.touching.get(site, 0) | bit
+            sym, power = runs[-1]
+            key = (site, sym, power > 0)
+            self.ending[key] = self.ending.get(key, 0) | bit
         prem = f"({','.join(map(str, premises))})" if premises else ""
         rhs = "psi" if phase == 0 else f"omega^{phase} psi"
         self.transcript.add(rule, premises,
@@ -467,6 +516,11 @@ class _Engine:
         facts; a fresh squared identity must also shorten the older facts
         it appears in (X7^2 psi = psi turns X1^2 X7^2 psi = psi into
         X1^2 psi = psi), so reductions of old-by-new are emitted as facts.
+
+        For each new fact the old facts tried are those stored when its
+        turn comes that end like it on every site it touches, in ascending
+        index: any other fact fails `_suffix_split` against it, so this is
+        the scan over a snapshot of all facts.
         """
         queue = list(range(start, len(self.facts)))
         qi = 0
@@ -475,10 +529,12 @@ class _Engine:
                 return
             new = self.facts[queue[qi]]
             qi += 1
-            for old in self.facts[:]:
-                if old.idx == new.idx or not new.site_set <= old.site_set:
-                    continue
-                if old.letters <= new.letters:
+            candidates = (1 << len(self.facts)) - 1
+            for site, runs in new.word:
+                sym, power = runs[-1]
+                candidates &= self.ending[(site, sym, power > 0)]
+            for old in _facts_in(candidates, self.facts):
+                if old.idx == new.idx or old.letters <= new.letters:
                     continue
                 split = _suffix_split(old.word, new.word)
                 if split is None:
@@ -491,10 +547,6 @@ class _Engine:
                     queue.append(added.idx)
 
     def r3_combine(self, a: Fact, b: Fact):
-        if not (a.site_set & b.site_set):
-            return  # disjoint products never feed the goal rules
-        if a.letters + b.letters > self.budget.max_word_letters:
-            return  # normalization and rewriting only shrink words
         if self.contradiction or self.products_used >= self.budget.max_products:
             return
         self.products_used += 1
@@ -614,10 +666,15 @@ class _Engine:
                 if self.budget.combine == "even":
                     frontier = [f for f in frontier if word_all_even(f.word)]
                     known = [f for f in known if word_all_even(f.word)]
+                letters = self.budget.max_word_letters
                 for a in frontier:
                     for b in known:
-                        self.r3_combine(a, b)
-                        self.r3_combine(b, a)
+                        # disjoint products never feed the goal rules, and
+                        # normalization and rewriting only shrink words
+                        if (a.site_set & b.site_set
+                                and a.letters + b.letters <= letters):
+                            self.r3_combine(a, b)
+                            self.r3_combine(b, a)
             self.reduce_phase(mark)
             frontier = self.facts[mark:]
 

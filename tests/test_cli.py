@@ -355,6 +355,13 @@ class TestSelftest:
         assert run(["selftest", "deduce", "--code", "shor", "--subset", ""]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("action", ["deduce", "search"])
+    @pytest.mark.parametrize("facts", ["0", "-1"])
+    def test_budget_facts_below_one_exits_2(self, capsys, action, facts):
+        assert run(["selftest", action, "--code", "five_qubit",
+                    "--budget-facts", facts]) == 2
+        assert "--budget-facts must be >= 1" in capsys.readouterr().err
+
     def test_search_output(self, capsys):
         assert run(["selftest", "search", "--code", "five_qubit"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -5,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellcert.engine import (CONTRADICTION, PROVED, UNKNOWN, Budget, Problem,
-                             deduce, normalize, problem_for_code,
-                             search_subsets, transcript_render)
+                             ProblemError, _Engine, _site_suffix_split,
+                             _suffix_split, deduce, normalize,
+                             problem_for_code, search_subsets,
+                             transcript_render, word_product)
 from bellcert.pauli import code_preset
 from bellcert.verify import model_check_deduction
 
@@ -102,6 +106,18 @@ class TestBudgets:
         assert res.status in (UNKNOWN, PROVED)  # never crashes; shor needs >10
         assert res.status == UNKNOWN
 
+    @pytest.mark.parametrize("field, value", [
+        ("combine", "evne"), ("combine", "All"), ("max_facts", -1),
+        ("max_word_letters", -1), ("max_products", -1), ("max_rounds", -1)])
+    def test_bad_budget_rejected(self, field, value):
+        with pytest.raises(ProblemError, match=field):
+            Budget(**{field: value})
+
+    def test_zero_limits_accepted(self):
+        problem = Problem(n=1, q=2, pair_sites=frozenset({1}),
+                          operators=(((1, "X", 2),), ((1, "Z", 2),)))
+        assert deduce(problem, Budget(max_products=0, max_rounds=0)).status == PROVED
+
 
 class TestProblems:
     def test_zero_step_proof(self):
@@ -165,21 +181,35 @@ class TestSearch:
             search_subsets(big, exhaustive_limit=8)
 
 
-@st.composite
-def _factor_lists(draw):
-    """A problem with random pair sites and one random factor list on it."""
+def _draw_problem(draw):
+    """A problem on 1-3 sites with random q and pair sites, no operators."""
     q = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 3))
     pair = draw(st.sets(st.integers(1, n)))
+    return Problem(n=n, q=q, pair_sites=frozenset(pair), operators=())
+
+
+def _draw_factors(draw, problem, most):
+    """Up to `most` random factors on the problem's sites."""
     factors = []
-    for _ in range(draw(st.integers(0, 8))):
-        site = draw(st.integers(1, n))
-        low = 1 if q == 2 and site in pair else -3  # as Problem requires
+    for _ in range(draw(st.integers(0, most))):
+        site = draw(st.integers(1, problem.n))
+        # as Problem requires
+        low = 1 if problem.q == 2 and problem.is_pair(site) else -3
         factors.append((site, draw(st.sampled_from("XZ")),
                         draw(st.integers(low, 3))))
-    problem = Problem(n=n, q=q, pair_sites=frozenset(pair),
-                      operators=(tuple(factors),))
-    return problem, problem.operators[0]
+    return factors
+
+
+@st.composite
+def _factor_lists(draw):
+    """A problem with random pair sites and one random factor list on it."""
+    problem = _draw_problem(draw)
+    return problem, tuple(_draw_factors(draw, problem, 8))
+
+
+def _flat(word):
+    return [(site, sym, power) for site, runs in word for sym, power in runs]
 
 
 def _operator(factors, n, q):
@@ -205,6 +235,123 @@ def test_normalize_matches_shift_and_clock(case):
             assert [sym for sym, _ in runs] in (["X"], ["Z"], ["X", "Z"])
     q = problem.q
     omega = np.exp(2j * np.pi / q)
-    flat = [(site, sym, power) for site, runs in word for sym, power in runs]
     assert np.allclose(_operator(factors, problem.n, q),
-                       omega**ph * _operator(flat, problem.n, q), atol=1e-12)
+                       omega**ph * _operator(_flat(word), problem.n, q),
+                       atol=1e-12)
+
+
+@st.composite
+def _fact_bases(draw):
+    """An engine holding facts added from random factor lists, and query
+    words: random words, some multiplied on the right by a stored fact."""
+    problem = _draw_problem(draw)
+    engine = _Engine(problem, Budget())
+    for _ in range(draw(st.integers(0, 12))):
+        word, ph = normalize(_draw_factors(draw, problem, 4), problem)
+        engine.add_fact(word, draw(st.integers(0, problem.q - 1)) - ph, "seed")
+    queries = []
+    for _ in range(8):
+        factors = _draw_factors(draw, problem, 6)
+        if engine.facts and draw(st.booleans()):
+            factors += _flat(draw(st.sampled_from(engine.facts)).word)
+        queries.append(normalize(factors, problem))
+    return engine, queries
+
+
+def _linear_rewrite(engine, word, phase):
+    """Cancel the first fact, in list order, that splits the word."""
+    while word:
+        for fact in engine.facts:
+            split = _suffix_split(word, fact.word)
+            if split is not None:
+                word, phase = split, (phase - fact.phase) % engine.q
+                break
+        else:
+            break
+    return word, phase
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_fact_bases())
+def test_rewrite_matches_linear_scan(case):
+    engine, queries = case
+    for word, phase in queries:
+        assert engine._rewrite(word, phase) == _linear_rewrite(engine, word, phase)
+
+
+@st.composite
+def _normal_word_pairs(draw):
+    problem = _draw_problem(draw)
+    a, _ = normalize(_draw_factors(draw, problem, 8), problem)
+    b, _ = normalize(_draw_factors(draw, problem, 8), problem)
+    return problem, a, b
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_normal_word_pairs())
+def test_word_product_matches_normalize(case):
+    problem, a, b = case
+    assert word_product(a, b, problem) == normalize(_flat(a) + _flat(b), problem)
+
+
+def _site_suffix_split_loop(runs, suffix):
+    """Run-by-run reference for `_site_suffix_split`."""
+    runs_l = list(runs)
+    for si in range(len(suffix) - 1, -1, -1):
+        if not runs_l:
+            return None
+        sym_s, pow_s = suffix[si]
+        sym_w, pow_w = runs_l[-1]
+        if sym_w != sym_s or pow_w * pow_s <= 0 or abs(pow_w) < abs(pow_s):
+            return None
+        leftover = pow_w - pow_s
+        if leftover:
+            if si > 0:
+                return None
+            runs_l[-1] = (sym_w, leftover)
+        else:
+            runs_l.pop()
+    return tuple(runs_l)
+
+
+_runs = st.lists(st.tuples(st.sampled_from("XZ"),
+                           st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                 max_size=4).map(tuple)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(_runs, _runs.filter(bool), st.booleans())
+def test_site_suffix_split_matches_loop(runs, suffix, own_tail):
+    if own_tail and runs:
+        suffix = runs[-len(suffix):]  # a suffix that fits, up to its head run
+    assert _site_suffix_split(runs, suffix) == _site_suffix_split_loop(runs, suffix)
+
+
+# SHA-256 of these runs' status, facts (word, phase, rule, premises),
+# pair_comm and transcript text, as the scan-based engine produced them.
+GOLDEN_DEDUCE_DIGEST = (
+    "598ee133a90e844ca8faa831c6794c7ec69752a8fbf9a8c781c12c36304e1063")
+
+
+def test_golden_deduce_digest(five_qubit, steane, shor):
+    runs = [(five_qubit, subset, True, Budget())
+            for size in range(6)
+            for subset in itertools.combinations(range(1, 6), size)]
+    runs += [(steane, None, True, Budget()), (shor, None, True, Budget()),
+             (shor, None, False, Budget())]
+    runs += [(code_preset("five_qudit", q=q), None, True, Budget())
+             for q in (2, 3, 5)]
+    wide = Budget(combine="all", max_products=2000)
+    runs += [(five_qubit, subset, True, wide)
+             for subset in [(), (1,), (1, 5), (1, 2, 3), (1, 2, 3, 5),
+                            (1, 2, 3, 4, 5)]]
+    digest = hashlib.sha256()
+    for code, subset, extras, budget in runs:
+        res = deduce(problem_for_code(code, pair_sites=subset, extras=extras),
+                     budget)
+        digest.update(repr((
+            res.status,
+            [(f.word, f.phase, f.rule, f.premises) for f in res.facts],
+            sorted(res.pair_comm.items()),
+            transcript_render(res.transcript))).encode())
+    assert digest.hexdigest() == GOLDEN_DEDUCE_DIGEST
