@@ -369,6 +369,12 @@ class _Engine:
         # its last run matches the word's at every site the fact touches.
         self.touching: dict[int, int] = {}
         self.ending: dict[tuple[int, str, bool], int] = {}
+        # word -> (reduced word, phase delta, fact count when reduced)
+        self.rewritten: dict[Word, tuple[Word, int, int]] = {}
+        # site -> sym -> solved forms of self.facts[:self.solved]
+        self.solves: dict[int, dict[str, list[tuple[int, Fact, Word]]]] = {}
+        self.solved = 0
+        self.dropped = False  # a word was refused for a budget limit
 
     # -- fact bookkeeping -------------------------------------------------
 
@@ -380,9 +386,20 @@ class _Engine:
         it on each of theirs, in ascending index, and takes the first that
         splits the word: every other fact fails `_suffix_split`, so this is
         the first match of a scan over all facts.
+
+        Each word's result is kept with the fact count it saw.  A word seen
+        before resumes from its stored reduction, and the first pass tries
+        only the facts added since.  This equals a fresh rewrite: every pass
+        takes the lowest-index fact that splits the word and new facts get
+        higher indices, so a fresh run repeats the stored steps, after which
+        no older fact splits the word; and the phase deltas of the steps add
+        up mod q.  The memo lives and dies with the engine.
         """
-        while word:
-            candidates = (1 << len(self.facts)) - 1
+        start = word
+        word, delta, seen = self.rewritten.get(start, (start, 0, 0))
+        total = len(self.facts)
+        while word and seen < total:
+            candidates = (1 << total) - (1 << seen)
             runs_at = dict(word)
             for site, touching in self.touching.items():
                 runs = runs_at.get(site)
@@ -396,11 +413,13 @@ class _Engine:
                 split = _suffix_split(word, fact.word)
                 if split is not None:
                     word = split
-                    phase = (phase - fact.phase) % self.q
+                    delta = (delta - fact.phase) % self.q
                     break
             else:
                 break
-        return word, phase
+            seen = 0
+        self.rewritten[start] = (word, delta, total)
+        return word, (phase + delta) % self.q
 
     def add_fact(self, word: Word, phase: int, rule: str,
                  premises: tuple[int, ...] = ()) -> Fact | None:
@@ -415,9 +434,9 @@ class _Engine:
                     f"scalar equation omega^{phase} psi = psi with "
                     f"{phase} != 0", rule, premises)
             return None
-        if word_letters(word) > self.budget.max_word_letters:
-            return None
-        if len(self.facts) >= self.budget.max_facts:
+        if (word_letters(word) > self.budget.max_word_letters
+                or len(self.facts) >= self.budget.max_facts):
+            self.dropped = True
             return None
         fact = Fact(len(self.facts), word, phase, rule, premises)
         self.facts.append(fact)
@@ -553,8 +572,9 @@ class _Engine:
         word, ph = word_product(a.word, b.word, self.problem)
         self.add_fact(word, a.phase + b.phase - ph, "combine", (a.idx, b.idx))
 
-    def _solves(self) -> dict[int, dict[str, list[tuple[int, Fact, Word]]]]:
-        """site -> sym -> [(solved power +-1, fact, rest word)].
+    def _extend_solves(self):
+        """Add the facts stored since the last call to `self.solves`,
+        site -> sym -> [(solved power +-1, fact, rest word)] in fact order.
 
         A fact whose site-m part is a single X^a run isolates
         X_m^{-a} psi = omega^{-phase} * rest psi.  Off the pair set the
@@ -563,8 +583,7 @@ class _Engine:
         power identity is known, and q = 2 pair sites never qualify, their
         symbols being Hermitian but not unitary.
         """
-        out: dict[int, dict[str, list[tuple[int, Fact, Word]]]] = {}
-        for fact in self.facts:
+        for fact in self.facts[self.solved:]:
             for pos, (site, runs) in enumerate(fact.word):
                 if len(runs) != 1:
                     continue
@@ -582,9 +601,9 @@ class _Engine:
                     else:
                         continue
                 rest = fact.word[:pos] + fact.word[pos + 1:]
-                out.setdefault(site, {}).setdefault(sym, []).append(
+                self.solves.setdefault(site, {}).setdefault(sym, []).append(
                     (solved, fact, rest))
-        return out
+        self.solved = len(self.facts)
 
     def r4_transfer(self):
         """Derive site commutation phases from paired solved forms.
@@ -596,9 +615,9 @@ class _Engine:
         commutation fact is already known (that site's factors commute to
         the state side).  The exponent is recorded per site.
         """
-        solves = self._solves()
-        for site in sorted(solves):
-            entry = solves[site]
+        self._extend_solves()
+        for site in sorted(self.solves):
+            entry = self.solves[site]
             for (px, fx, u_rest), (pz, fz, v_rest) in itertools.product(
                     entry.get("X", ()), entry.get("Z", ())):
                 key = (fx.idx, fz.idx, site)
@@ -637,6 +656,7 @@ class _Engine:
 
     def run(self) -> DeduceResult:
         self.seed()
+        starved = self.dropped  # a seed was refused for a budget limit
         frontier = list(self.facts)
         rounds = 0
         status = reason = None
@@ -647,10 +667,11 @@ class _Engine:
             if self.goal_met():
                 status, reason = PROVED, ""
                 break
-            if not frontier:
+            if not frontier and not starved:
                 status, reason = UNKNOWN, "saturated without reaching the goal"
                 break
-            if rounds >= self.budget.max_rounds or self._budget_hit():
+            if (not frontier or rounds >= self.budget.max_rounds
+                    or self._budget_hit()):
                 status, reason = UNKNOWN, "budget exhausted"
                 break
             rounds += 1

@@ -4,7 +4,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellcert.engine import (CONTRADICTION, PROVED, UNKNOWN, Budget, Problem,
                              ProblemError, _Engine, _site_suffix_split,
@@ -105,6 +105,18 @@ class TestBudgets:
         res = deduce(problem_for_code(shor), Budget(max_facts=10))
         assert res.status in (UNKNOWN, PROVED)  # never crashes; shor needs >10
         assert res.status == UNKNOWN
+
+    @pytest.mark.parametrize("limit", ["max_facts", "max_word_letters"])
+    def test_refused_seeds_report_the_budget(self, shor, limit):
+        res = deduce(problem_for_code(shor), Budget(**{limit: 0}))
+        assert (res.status, res.reason, res.facts) == (
+            UNKNOWN, "budget exhausted", [])
+        assert res.transcript.status_line == "unknown: budget exhausted"
+
+    def test_no_operators_still_saturate(self):
+        problem = Problem(n=1, q=2, pair_sites=frozenset(), operators=())
+        res = deduce(problem, Budget(max_facts=0))
+        assert res.reason == "saturated without reaching the goal"
 
     @pytest.mark.parametrize("field, value", [
         ("combine", "evne"), ("combine", "All"), ("max_facts", -1),
@@ -242,20 +254,30 @@ def test_normalize_matches_shift_and_clock(case):
 
 @st.composite
 def _fact_bases(draw):
-    """An engine holding facts added from random factor lists, and query
-    words: random words, some multiplied on the right by a stored fact."""
+    """A problem and a sequence of engine steps: facts added from random
+    factor lists, interleaved with queries.  A query is a random word
+    multiplied on the right by up to two added words, stored or still to
+    come, or a word queried before, so that remembered rewrites come back
+    after new facts land."""
     problem = _draw_problem(draw)
-    engine = _Engine(problem, Budget())
-    for _ in range(draw(st.integers(0, 12))):
-        word, ph = normalize(_draw_factors(draw, problem, 4), problem)
-        engine.add_fact(word, draw(st.integers(0, problem.q - 1)) - ph, "seed")
-    queries = []
-    for _ in range(8):
-        factors = _draw_factors(draw, problem, 6)
-        if engine.facts and draw(st.booleans()):
-            factors += _flat(draw(st.sampled_from(engine.facts)).word)
-        queries.append(normalize(factors, problem))
-    return engine, queries
+    adds = [normalize(_draw_factors(draw, problem, 4), problem)
+            for _ in range(draw(st.integers(0, 12)))]
+    words = [word for word, _ in adds]
+    steps, queried = [], []
+    for word, ph in adds:
+        steps.append(("add", word, draw(st.integers(0, problem.q - 1)) - ph))
+        for _ in range(draw(st.integers(0, 3))):
+            if queried and draw(st.booleans()):
+                query = draw(st.sampled_from(queried))
+            else:
+                factors = _draw_factors(draw, problem, 6)
+                for suffix in draw(st.lists(st.sampled_from(words), max_size=2)):
+                    factors += _flat(suffix)
+                query = normalize(factors, problem)
+                queried.append(query)
+            steps.append(("query", *query))
+    steps += [("query", *query) for query in queried]
+    return problem, steps
 
 
 def _linear_rewrite(engine, word, phase):
@@ -271,12 +293,26 @@ def _linear_rewrite(engine, word, phase):
     return word, phase
 
 
+_X1, _Z1 = ((1, (("X", 1),)),), ((1, (("Z", 1),)),)
+_X1Z1 = ((1, (("X", 1), ("Z", 1))),)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(_fact_bases())
+# X1 Z1 is remembered irreducible; once Z1 lands it drops Z1, then the
+# older X1, which its first resumed pass does not try
+@example((Problem(n=1, q=2, pair_sites=frozenset(), operators=()),
+          [("add", _X1, 0), ("query", _X1Z1, 0), ("add", _Z1, 0),
+           ("query", _X1Z1, 0)]))
 def test_rewrite_matches_linear_scan(case):
-    engine, queries = case
-    for word, phase in queries:
-        assert engine._rewrite(word, phase) == _linear_rewrite(engine, word, phase)
+    problem, steps = case
+    engine = _Engine(problem, Budget())
+    for kind, word, phase in steps:
+        if kind == "add":
+            engine.add_fact(word, phase, "seed")
+        else:
+            assert (engine._rewrite(word, phase)
+                    == _linear_rewrite(engine, word, phase))
 
 
 @st.composite
