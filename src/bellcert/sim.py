@@ -11,6 +11,20 @@ a measured site's outcome becomes one of its two eigenvalues chosen
 uniformly, i.e. its eigenvalue index flips with probability p/2.  The
 channels act per site and unmeasured sites are traced out, so this is the
 exact joint law.
+
+The index draw reproduces ``Generator.choice(d, size, p=probs)`` index for
+index and consumes the same stream: the same normalized cdf, the same
+``rng.random(shots)`` uniforms and the same answer, count(cdf <= u).  Only
+the lookup differs.  A guide table splits [0, 1) into a power of two of
+buckets, so a uniform's bucket floor(u * buckets) is exact; a bucket
+holding no cdf value gives every uniform in it one index, and only the
+uniforms in the at most d other buckets are binary-searched.  A monomial's
+outcome product is then one lookup per shot in a table over the 2^n basis
+indices, built with the per-shot product's multiplications in the same
+site order, so means and variances are bit-equal; noise flips are drawn
+per site in the same order and xor-ed into the index.  A noise sweep
+draws each monomial's clean indices once and rewinds the stream to just
+after that draw for each row's flips.
 """
 
 from __future__ import annotations
@@ -25,10 +39,11 @@ from .pauli import SizeLimitError, StabilizerCode
 from .poly import BellPolynomial, MeasurementAssignment, Monomial
 from .verify import Realization, canonical_realization, logical_basis
 
-# One monomial's draw keeps about 33 bytes per shot alive (the int64 index
-# array, its per-site bits, the float64 products and, under noise, the flip
-# draws; tracemalloc peak at 1e6 shots, p = 0 and 0.1).  2^25 shots take
-# 2^25 x 33 B = 1.1 GB, in line with pauli.MAX_MATRIX_DIM's 1.25 GiB.
+# One monomial's draw keeps about 25 bytes per shot alive (the int64 index
+# array, the float64 products and their variance's deviations or, under
+# noise, the flipped indices and one site's flip draws; tracemalloc peak at
+# 1e6 shots: 24 B at p = 0, 25 B at p = 0.1).  2^25 shots take
+# 2^25 x 25 B = 0.84 GB, in line with pauli.MAX_MATRIX_DIM's 1.25 GiB.
 MAX_SHOTS = 2**25
 
 
@@ -91,7 +106,37 @@ def _born_indices(strategy: Strategy, settings: Sequence[int], shots: int,
         outcome_vals.append(vals)
     probs = np.abs(psi.reshape(-1))**2
     probs = probs / probs.sum()
-    return rng.choice(probs.size, size=shots, p=probs), outcome_vals
+    return _guide_draw(probs, shots, rng), outcome_vals
+
+
+def _guide_draw(probs: np.ndarray, shots: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """``rng.choice(probs.size, size=shots, p=probs)``, index for index.
+
+    The same cdf and uniforms as choice, but a guide table (Chen and Asau's
+    indexed search) replaces its per-shot binary search: only uniforms in
+    a bucket that holds a cdf value are searched.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(shots)
+    # about 64 buckets per outcome, never more buckets than shots
+    buckets = 1 << min((64 * probs.size - 1).bit_length(),
+                       shots.bit_length() - 1)
+    u *= buckets  # exact, like cdf * buckets: a power-of-two scale
+    idx = _guide_table(cdf, buckets)[u.astype(np.intp)]
+    split = np.flatnonzero(idx < 0)
+    idx[split] = (cdf * buckets).searchsorted(u[split], side="right")
+    return idx
+
+
+def _guide_table(cdf: np.ndarray, buckets: int) -> np.ndarray:
+    """choice's index, count(cdf <= u), shared by every u in bucket b,
+    [b, b + 1) / buckets; -1 where a cdf value inside the bucket splits it."""
+    edges = np.arange(buckets + 1) / buckets
+    lo = cdf.searchsorted(edges[:-1], side="right")
+    hi = cdf.searchsorted(edges[1:], side="left")
+    return np.where(lo == hi, lo, -1)
 
 
 def sample_round(strategy: Strategy, settings: Mapping[int, int],
@@ -161,27 +206,100 @@ def _allocate(weights: Sequence[float], shots: int) -> list[int]:
     return alloc
 
 
-def _sample_products(strategy: Strategy, sites: tuple[int, ...],
-                     settings: tuple[int, ...], shots: int,
-                     rng: np.random.Generator, noise_p: float) -> np.ndarray:
-    """Outcome products for `shots` rounds of one setting pattern.
-
-    Unmeasured sites take setting 0; their outcomes are never read.  The
-    noise draws follow the clean index draw, so p = 0 consumes the stream
-    exactly as a noiseless estimate does.
-    """
-    n = strategy.n
-    full_settings = [0] * n
-    for site, setting in zip(sites, settings):
-        full_settings[site - 1] = setting
-    idx, outcome_vals = _born_indices(strategy, full_settings, shots, rng)
-    products = np.ones(shots)
+def _product_table(n: int, sites: tuple[int, ...],
+                   outcome_vals: list[np.ndarray]) -> np.ndarray:
+    """The outcome product of every basis index: entry i multiplies, from
+    1 and in site order, each measured site's eigenvalue at its bit of i,
+    the multiplications a per-shot product over the same sites makes."""
+    bits = np.arange(2**n)
+    table = np.ones(2**n)
     for site in sites:
-        bit = (idx >> (n - site)) & 1
-        if noise_p > 0:
-            bit ^= rng.random(shots) < noise_p / 2
-        products *= outcome_vals[site - 1][bit]
-    return products
+        table *= outcome_vals[site - 1][(bits >> (n - site)) & 1]
+    return table
+
+
+def _flipped(idx: np.ndarray, n: int, sites: tuple[int, ...],
+             rng: np.random.Generator, noise_p: float) -> np.ndarray:
+    """A copy of idx in which each measured site's eigenvalue index flips
+    with probability p/2, one uniform per shot and site, in site order."""
+    flipped = idx.copy()
+    for site in sites:
+        flipped ^= (rng.random(idx.size) < noise_p / 2) << (n - site)
+    return flipped
+
+
+def _estimate_rows(strategy: Strategy, poly: BellPolynomial, shots: int,
+                   allocation: str,
+                   noise_grid: list[float]) -> list[EstimateReport]:
+    """One estimate per noise probability in the grid, each equal to a
+    lone estimate at that probability.
+
+    Every monomial draws its clean indices once.  Each row restores the
+    monomial's stream to just after that draw before its flip draws, so
+    every row consumes the stream as a lone estimate does.
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    if shots > MAX_SHOTS:
+        raise SizeLimitError(f"shots {shots} exceed the cap {MAX_SHOTS}")
+    for p in noise_grid:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"noise probability {p} outside [0, 1]")
+    terms = _check_single_measurement(poly)
+    constant = 0.0
+    sampled: list[tuple[Monomial, float]] = []
+    for mono, coeff in terms:
+        if mono.is_identity:
+            constant += coeff
+        else:
+            sampled.append((mono, coeff))
+    if not sampled:
+        return [EstimateReport(constant, 0.0, 0, []) for _ in noise_grid]
+    if allocation == "coeff":
+        weights = [abs(c) for _, c in sampled]
+    elif allocation == "uniform":
+        weights = [1.0] * len(sampled)
+    else:
+        raise ValueError(f"unknown allocation {allocation!r}")
+    alloc = _allocate(weights, shots)
+    seeds = np.random.SeedSequence(strategy.seed).spawn(len(sampled))
+    n = strategy.n
+    estimates = [constant] * len(noise_grid)
+    variances = [0.0] * len(noise_grid)
+    per_setting: list[list[dict]] = [[] for _ in noise_grid]
+    for (mono, coeff), m, seed in zip(sampled, alloc, seeds):
+        rng = np.random.default_rng(seed)
+        sites = tuple(s for s, _ in mono.factors)
+        settings = tuple(word[0] for _, word in mono.factors)
+        # unmeasured sites take setting 0; their outcomes are never read
+        full_settings = [0] * n
+        for site, setting in zip(sites, settings):
+            full_settings[site - 1] = setting
+        idx, outcome_vals = _born_indices(strategy, full_settings, m, rng)
+        table = _product_table(n, sites, outcome_vals)
+        drawn = rng.bit_generator.state
+        for row, p in enumerate(noise_grid):
+            if p > 0:
+                rng.bit_generator.state = drawn
+                products = table[_flipped(idx, n, sites, rng, p)]
+            else:
+                products = table[idx]
+            mean = float(products.mean())
+            var = float(products.var(ddof=1)) if m > 1 else 0.0
+            del products  # freed before the next row draws its flips
+            estimates[row] += coeff * mean
+            variances[row] += coeff * coeff * var / m
+            per_setting[row].append({
+                "sites": list(sites),
+                "settings": list(settings),
+                "coeff": coeff,
+                "shots": int(m),
+                "mean": mean,
+            })
+    return [EstimateReport(float(estimate), math.sqrt(variance),
+                           int(sum(alloc)), rows)
+            for estimate, variance, rows in zip(estimates, variances,
+                                                per_setting)]
 
 
 def estimate_bell(strategy: Strategy, poly: BellPolynomial, shots: int,
@@ -194,51 +312,7 @@ def estimate_bell(strategy: Strategy, poly: BellPolynomial, shots: int,
     monomial gets an independent seeded stream, so reports are
     reproducible for any execution order.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if shots > MAX_SHOTS:
-        raise SizeLimitError(f"shots {shots} exceed the cap {MAX_SHOTS}")
-    if not 0.0 <= noise_p <= 1.0:
-        raise ValueError(f"noise probability {noise_p} outside [0, 1]")
-    terms = _check_single_measurement(poly)
-    constant = 0.0
-    sampled: list[tuple[Monomial, float]] = []
-    for mono, coeff in terms:
-        if mono.is_identity:
-            constant += coeff
-        else:
-            sampled.append((mono, coeff))
-    if not sampled:
-        return EstimateReport(constant, 0.0, 0, [])
-    if allocation == "coeff":
-        weights = [abs(c) for _, c in sampled]
-    elif allocation == "uniform":
-        weights = [1.0] * len(sampled)
-    else:
-        raise ValueError(f"unknown allocation {allocation!r}")
-    alloc = _allocate(weights, shots)
-    seeds = np.random.SeedSequence(strategy.seed).spawn(len(sampled))
-    estimate = constant
-    variance = 0.0
-    per_setting = []
-    for (mono, coeff), m, seed in zip(sampled, alloc, seeds):
-        rng = np.random.default_rng(seed)
-        sites = tuple(s for s, _ in mono.factors)
-        settings = tuple(word[0] for _, word in mono.factors)
-        products = _sample_products(strategy, sites, settings, m, rng, noise_p)
-        mean = float(products.mean())
-        var = float(products.var(ddof=1)) if m > 1 else 0.0
-        estimate += coeff * mean
-        variance += coeff * coeff * var / m
-        per_setting.append({
-            "sites": list(sites),
-            "settings": list(settings),
-            "coeff": coeff,
-            "shots": int(m),
-            "mean": mean,
-        })
-    return EstimateReport(float(estimate), math.sqrt(variance),
-                          int(sum(alloc)), per_setting)
+    return _estimate_rows(strategy, poly, shots, allocation, [noise_p])[0]
 
 
 @dataclass
@@ -254,16 +328,14 @@ def noise_sweep(strategy: Strategy, poly: BellPolynomial,
                 allocation: str = "coeff") -> list[SweepPoint]:
     """Estimate under per-site depolarizing noise for each p in the grid.
 
-    Every row reuses the strategy seed, so the p = 0 row coincides with
-    estimate_bell exactly.
+    Every row equals estimate_bell at its p with the strategy seed, so the
+    p = 0 row coincides with estimate_bell exactly.  Every p is checked
+    before anything is drawn.
     """
-    rows = []
-    for p in p_grid:
-        report = estimate_bell(strategy, poly, shots, allocation=allocation,
-                               noise_p=float(p))
-        rows.append(SweepPoint(float(p), report.shots, report.estimate,
-                               report.stderr))
-    return rows
+    grid = [float(p) for p in p_grid]
+    reports = _estimate_rows(strategy, poly, shots, allocation, grid)
+    return [SweepPoint(p, report.shots, report.estimate, report.stderr)
+            for p, report in zip(grid, reports)]
 
 
 def sweep_csv(rows: Iterable[SweepPoint]) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -14,6 +15,11 @@ from bellcert.sim import MAX_SHOTS
 
 FIVE_QUBIT_DOC = code_preset("five_qubit").to_json()
 QRM15 = Path(__file__).parent / "fixtures" / "qrm15.json"
+
+# SHA-256 of TestSimulate.test_golden_simulate_digest's runs (argv, exit code,
+# stdout), as the sampler drawing through Generator.choice produced them.
+GOLDEN_SIMULATE_DIGEST = (
+    "94d7f3acf98f068630a3aabee2031721ffc01610ff1c2ea3a6c04f52a6ab90b7")
 
 
 def run(argv):
@@ -490,3 +496,29 @@ class TestSimulate:
         first = capsys.readouterr().out
         assert run(args) == 0
         assert capsys.readouterr().out == first
+
+    def test_golden_simulate_digest(self, capsys):
+        published = "1.4142135623730951,1,1.4142135623730951,2.8284271247461903"
+        est = ["simulate", "estimate", "--code", "five_qubit"]
+        sweep = ["simulate", "noise-sweep", "--code", "five_qubit"]
+        reduced_07 = ["--mu", "0.7", "--alpha", "1,1,1,1.4188994317262345"]
+        runs = [
+            est + ["--shots", "1000000", "--seed", "7", "--alpha", published],
+            sweep + ["--shots", "100000", "--seed", "7",
+                     "--p-grid", "0,0.05,0.1,1"],
+            est + ["--shots", "7", "--seed", "1", "--alpha", published],
+            est + ["--shots", "20000", "--seed", "3",
+                   "--state-theta", "0.4"] + reduced_07,
+            est + ["--shots", "20000", "--seed", "3", "--state-theta", "0.4",
+                   "--allocation", "uniform"] + reduced_07,
+            # the tilted polynomial has sequential monomials: exit 5
+            est + ["--shots", "1000", "--seed", "3", "--theta", "0.4",
+                   "--alpha0", "1", "--mu", "0.7"],
+            sweep + ["--shots", "20000", "--seed", "4",
+                     "--p-grid", "0,0.05,0.1,0.3,1"],
+        ]
+        digest = hashlib.sha256()
+        for argv in runs:
+            code = run(argv)
+            digest.update(repr((argv, code, capsys.readouterr().out)).encode())
+        assert digest.hexdigest() == GOLDEN_SIMULATE_DIGEST

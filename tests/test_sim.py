@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from bellcert import sim
 from bellcert.compile import build_bell, chsh_polynomial, default_certificate
 from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
 from bellcert.pauli import SizeLimitError
 from bellcert.sim import (MAX_SHOTS, EstimationError, Strategy, _allocate,
-                          estimate_bell, noise_sweep, sample_round)
+                          _guide_draw, _guide_table, estimate_bell,
+                          noise_sweep, sample_round)
 from bellcert.verify import Realization, canonical_realization, materialize
 
 SQRT2 = math.sqrt(2)
@@ -61,6 +64,54 @@ class TestSampleRound:
         strat = bell_pair_strategy()
         with pytest.raises(ValueError):
             sample_round(strat, {1: 0})
+
+
+@st.composite
+def _distributions(draw):
+    """Born-rule probabilities over 2..2^12 outcomes: spread, with
+    zero-probability outcomes, a point mass, or dyadic weights whose cdf
+    values sit on bucket edges."""
+    d = draw(st.integers(2, 2**12))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["spread", "zeros", "point", "dyadic"]))
+    if kind == "point":
+        p = np.zeros(d)
+        p[draw(st.integers(0, d - 1))] = 1.0
+        return p
+    if kind == "dyadic":
+        w = gen.integers(0, 4, d)
+        w[-1] += (1 << int(w.sum()).bit_length()) - w.sum()
+        return w / w.sum()
+    p = gen.random(d) ** draw(st.integers(1, 8))
+    if kind == "zeros":
+        p[gen.random(d) < draw(st.floats(0.1, 0.95))] = 0.0
+        p[draw(st.integers(0, d - 1))] += 1e-3
+    return p / p.sum()
+
+
+class TestGuideDraw:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(_distributions(), st.integers(1, 200_000), st.integers(0, 2**32 - 1))
+    @example(np.array([0.25, 0.25, 0.5]), 1, 0)
+    @example(np.array([0.25, 0.25, 0.5]), 100_000, 1)
+    @example(np.array([0.0, 0.5, 0.0, 0.5, 0.0]), 4096, 2)
+    @example(np.array([0.0, 1.0]), 7, 3)
+    def test_matches_generator_choice(self, p, m, s):
+        want_rng, got_rng = np.random.default_rng(s), np.random.default_rng(s)
+        want = want_rng.choice(p.size, size=m, p=p)
+        got = _guide_draw(p, m, got_rng)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        # and the stream continues where choice leaves it
+        assert got_rng.random() == want_rng.random()
+
+    def test_cdf_values_on_bucket_edges_need_no_search(self):
+        assert _guide_table(np.array([0.25, 0.5, 1.0]), 8).tolist() == [
+            0, 0, 1, 1, 2, 2, 2, 2]
+        assert _guide_table(np.array([0.0, 0.5, 1.0]), 4).tolist() == [
+            1, 1, 2, 2]
+        # a cdf value inside a bucket leaves it to the search
+        assert _guide_table(np.array([0.3, 1.0]), 4).tolist() == [0, -1, 1, 1]
 
 
 class TestEstimate:
@@ -182,6 +233,40 @@ class TestNoise:
         for row in noise_sweep(strat, compiled.poly, grid, 20_000):
             exact = sum(c * (1 - row.p)**k * v for c, k, v in clean)
             assert abs(row.estimate - exact) <= 5 * row.stderr
+
+    def test_rows_equal_lone_estimates_from_one_draw(self, five_qubit,
+                                                     monkeypatch):
+        compiled = build_bell(default_certificate(five_qubit), five_qubit)
+        grid = [0.1, 0.0, 0.05, 1.0]
+        draws = []
+        born = sim._born_indices
+
+        def counting(*args):
+            draws.append(args[2])
+            return born(*args)
+
+        monkeypatch.setattr(sim, "_born_indices", counting)
+        rows = noise_sweep(Strategy.from_code(five_qubit, seed=5),
+                           compiled.poly, grid, 20_000)
+        monkeypatch.undo()
+        # one clean draw per sampled monomial, not one per row
+        assert len(draws) == 7 and sum(draws) == 20_000
+        for row, p in zip(rows, grid):
+            lone = estimate_bell(Strategy.from_code(five_qubit, seed=5),
+                                 compiled.poly, 20_000, noise_p=p)
+            assert (row.p, row.shots, row.estimate, row.stderr) == (
+                p, lone.shots, lone.estimate, lone.stderr)
+
+    def test_grid_checked_before_drawing(self, five_qubit, monkeypatch):
+        compiled = build_bell(default_certificate(five_qubit), five_qubit)
+
+        def no_draw(*args):
+            raise AssertionError("drew before checking every p")
+
+        monkeypatch.setattr(sim, "_born_indices", no_draw)
+        with pytest.raises(ValueError, match="outside"):
+            noise_sweep(Strategy.from_code(five_qubit, seed=1), compiled.poly,
+                        [0.0, 1.5], 100)
 
     def test_invalid_p_rejected(self, five_qubit):
         compiled = build_bell(default_certificate(five_qubit), five_qubit)
