@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -331,7 +332,14 @@ def parse(document: str | dict) -> BellPolynomial:
                 if name not in ("A0", "A1"):
                     raise ValueError(f"bad letter {name!r}")
                 letters.append(A0 if name == "A0" else A1)
-            site_words[int(factor["site"])] = letters
+            site = factor["site"]
+            try:
+                site = operator.index(site)
+            except TypeError:
+                raise ValueError(f"site {site!r} is not an integer") from None
+            if site in site_words:
+                raise ValueError(f"site {site} appears twice in one term")
+            site_words[site] = letters
         mono = Monomial.from_dict(site_words)
         coeffs[mono] = coeffs.get(mono, 0.0) + float(term["coeff"])
     return BellPolynomial(coeffs, meta=document.get("meta"))

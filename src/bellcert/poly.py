@@ -4,6 +4,18 @@ A monomial assigns each site an ordered word over the two local settings
 A0/A1; words at different sites commute, words within a site do not.
 Site words are kept reduced under (A_x)^2 = 1, i.e. no two adjacent equal
 letters survive.
+
+A reduced word over two involutions alternates, so it is fixed by its first
+letter and its length.  Multiplying two of them at one site therefore has a
+closed form: when the last letter of the left word equals the first letter
+of the right word, min(len1, len2) letters cancel pairwise and the rest of
+the longer word survives; otherwise the words simply concatenate.  A
+product is one merge of the two site-sorted factor tuples.
+
+``Monomial(factors)`` takes canonical factors only: (site, word) pairs with
+integer sites >= 1 in strictly increasing order, each word a nonempty
+reduced tuple of letters 0 (A0) and 1 (A1).  ``from_dict`` and ``parse``
+reduce arbitrary letter lists into that form.
 """
 
 from __future__ import annotations
@@ -32,29 +44,60 @@ def _reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
+def _canonical_factors(factors: Iterable) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The factors as a tuple, or ValueError unless they are canonical."""
+    out = []
+    last = 0
+    for site, word in factors:
+        site, word = operator.index(site), tuple(word)
+        if site <= last:
+            raise ValueError(f"sites must be >= 1 and strictly increasing, "
+                             f"got {site} after {last}")
+        if not word or _reduce_word(word) != word:
+            raise ValueError(f"word {word!r} at site {site} is empty or not reduced")
+        out.append((site, word))
+        last = site
+    return tuple(out)
+
+
 class Monomial:
-    """Map site -> reduced setting word, canonically ordered by site."""
+    """Map site -> reduced setting word, canonically ordered by site.
 
-    factors: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    Immutable; the hash is computed once, when the monomial is built.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+    __slots__ = ("factors", "_hash")
+
+    factors: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def __init__(self, factors: Iterable = ()):
+        factors = _canonical_factors(factors)
+        _set_factors(self, factors)
+        _set_hash(self, hash(factors))
+
+    @classmethod
+    def _trusted(cls, factors: tuple) -> "Monomial":
+        """Build from factors already in canonical form, unchecked."""
+        mono = object.__new__(cls)
+        _set_factors(mono, factors)
+        _set_hash(mono, hash(factors))
+        return mono
 
     @classmethod
     def from_dict(cls, site_words: Mapping[int, Iterable[int]]) -> "Monomial":
         items = []
         for site in sorted(site_words):
-            if site < 1:
+            index = operator.index(site)
+            if index < 1:
                 raise ValueError(f"sites are 1-indexed, got {site}")
             word = _reduce_word(site_words[site])
             if word:
-                items.append((int(site), word))
-        return cls(tuple(items))
+                items.append((index, word))
+        return cls._trusted(tuple(items))
 
     @classmethod
     def identity(cls) -> "Monomial":
-        return cls(())
+        return cls._trusted(())
 
     @classmethod
     def single(cls, site: int, letter: int) -> "Monomial":
@@ -71,10 +114,55 @@ class Monomial:
         return not self.factors
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        merged: dict[int, tuple[int, ...]] = dict(self.factors)
-        for site, word in other.factors:
-            merged[site] = merged.get(site, ()) + word
-        return Monomial.from_dict(merged)
+        left, right = self.factors, other.factors
+        if not left:
+            return other
+        if not right:
+            return self
+        out = []
+        append = out.append
+        i, n_left = 0, len(left)
+        for factor in right:
+            site = factor[0]
+            while i < n_left and left[i][0] < site:
+                append(left[i])
+                i += 1
+            if i == n_left or left[i][0] != site:
+                append(factor)
+                continue
+            word, other_word = left[i][1], factor[1]
+            i += 1
+            if word[-1] != other_word[0]:
+                append((site, word + other_word))
+                continue
+            # the inner letters match: min(len1, len2) letter pairs cancel
+            excess = len(word) - len(other_word)
+            if excess > 0:
+                append((site, word[:excess]))
+            elif excess < 0:
+                append((site, other_word[len(word):]))
+        out.extend(left[i:])
+        return Monomial._trusted(tuple(out))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Monomial is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Monomial is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Monomial, (self.factors,)
+
+    def __repr__(self) -> str:
+        return f"Monomial(factors={self.factors!r})"
 
     def max_site(self) -> int:
         return self.factors[-1][0] if self.factors else 0
@@ -88,6 +176,11 @@ class Monomial:
         return " ".join(parts)
 
 
+# Slot setters past Monomial.__setattr__, which refuses every assignment.
+_set_factors = Monomial.factors.__set__
+_set_hash = Monomial._hash.__set__
+
+
 class BellPolynomial:
     """Real linear combination of monomials with structural tolerance 1e-12."""
 
@@ -98,8 +191,9 @@ class BellPolynomial:
         self.coeffs: dict[Monomial, float] = {}
         self.meta: dict = dict(meta or {})
         if coeffs:
+            acc = self.coeffs
             for mono, c in coeffs.items():
-                self._add(mono, float(c))
+                acc[mono] = acc.get(mono, 0.0) + float(c)
         self._prune()
 
     # -- construction helpers --------------------------------------------
@@ -116,9 +210,6 @@ class BellPolynomial:
     def monomial(cls, mono: Monomial, coeff: float = 1.0) -> "BellPolynomial":
         return cls({mono: coeff})
 
-    def _add(self, mono: Monomial, coeff: float):
-        self.coeffs[mono] = self.coeffs.get(mono, 0.0) + coeff
-
     def _prune(self):
         dead = [m for m, c in self.coeffs.items() if abs(c) <= COEFF_TOL]
         for m in dead:
@@ -127,9 +218,11 @@ class BellPolynomial:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "BellPolynomial") -> "BellPolynomial":
-        out = BellPolynomial(self.coeffs, self.meta)
+        out = BellPolynomial(meta=self.meta)
+        acc = out.coeffs
+        acc.update(self.coeffs)
         for mono, c in other.coeffs.items():
-            out._add(mono, c)
+            acc[mono] = acc.get(mono, 0.0) + c
         out._prune()
         return out
 
@@ -142,9 +235,13 @@ class BellPolynomial:
 
     def __mul__(self, other: "BellPolynomial") -> "BellPolynomial":
         out = BellPolynomial()
+        acc = out.coeffs
+        get = acc.get
+        right = other.coeffs.items()
         for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                out._add(m1 * m2, c1 * c2)
+            for m2, c2 in right:
+                mono = m1 * m2
+                acc[mono] = get(mono, 0.0) + c1 * c2
         out._prune()
         return out
 

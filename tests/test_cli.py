@@ -192,9 +192,12 @@ class TestVerify:
         lambda doc: doc["terms"][0].pop("coeff"),
         lambda doc: doc.update(terms=5),
         lambda doc: doc.update(meta=5),
+        lambda doc: doc["terms"][0]["factors"].append(
+            dict(doc["terms"][0]["factors"][0], word=["A1"])),
+        lambda doc: doc["terms"][0]["factors"][0].update(site=1.7),
     ], ids=["mu-str", "n-str", "n-inf", "n-float", "mu-range", "pair_sites-int",
             "pair_sites-range", "pair_sites-float", "n-below-sites", "letter", "no-coeff",
-            "terms-int", "meta-int"])
+            "terms-int", "meta-int", "site-repeated", "site-float"])
     def test_malformed_poly_file_exits_2(self, mutate, tmp_path, capsys):
         path = tmp_path / "p.json"
         assert run(["bell", "build", "--code", "chsh", "--out", str(path)]) == 0

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from bellcert.compile import (CertificateError, SOSCertificate, build_bell,
                               build_tilted, chsh_certificate, chsh_polynomial,
                               default_certificate, emit, parse, substitute,
                               verify_sos)
-from bellcert.pauli import PauliWord
+from bellcert.pauli import PauliWord, code_preset, load_code
 from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
 from bellcert.verify import materialize, random_realization
 
@@ -265,3 +267,31 @@ class TestEmit:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit(BellPolynomial(), "yaml")
+
+
+# SHA-256 of emit(poly, "json"), the cancellation terms and the verify_sos
+# residual terms of these certificates, as the dict-and-reduce monomial
+# product compiled them.
+GOLDEN_COMPILE_DIGEST = (
+    "de57c31aa8d857663268ea201fcf388551d89ff1a4ec66216839588d3a8ee526")
+
+
+def test_golden_compile_digest():
+    certs = []
+    for name in ("five_qubit", "steane", "shor"):
+        code = code_preset(name)
+        certs += [(default_certificate(code), code),
+                  (default_certificate(code, theta=0.3, alpha0=1.0), code),
+                  (default_certificate(code, theta=0.9, alpha0=2.0, mu=0.7), code),
+                  (default_certificate(code, extras=False), code)]
+    certs.append((chsh_certificate(), None))
+    qrm15 = load_code((Path(__file__).parent / "fixtures" / "qrm15.json").read_text())
+    certs.append((default_certificate(qrm15, theta=0.3, alpha0=1.0), qrm15))
+    digest = hashlib.sha256()
+    for cert, code in certs:
+        compiled = build_bell(cert, code)
+        _, residual = verify_sos(compiled)
+        digest.update(emit(compiled.poly, "json").encode())
+        for poly in (compiled.cancellation, residual):
+            digest.update(repr([(m.factors, c) for m, c in poly.terms()]).encode())
+    assert digest.hexdigest() == GOLDEN_COMPILE_DIGEST

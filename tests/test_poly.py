@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bellcert.poly import (A0, A1, BellPolynomial, MeasurementAssignment,
                            Monomial)
@@ -28,6 +29,74 @@ def test_monomial_product_reduces_within_site():
     ab = a * b
     assert ab.word_at(1) == (A0, A1)
     assert (ab * ab).word_at(1) == (A0, A1, A0, A1)
+
+
+@pytest.mark.parametrize("factors", [
+    ((2, (A0,)), (1, (A1,))),        # unsorted sites
+    ((1, (A0,)), (1, (A1,))),        # repeated site
+    ((0, (A0,)),),                   # sites are 1-indexed
+    ((1, ()),),                      # empty word
+    ((1, (A0, A0)),),                # unreduced word
+    ((1, (A0, A1, A1)),),
+    ((1, (2,)),),                    # not a letter
+], ids=["unsorted", "repeated", "site-0", "empty", "unreduced", "unreduced-tail",
+        "letter"])
+def test_constructor_refuses_noncanonical_factors(factors):
+    with pytest.raises(ValueError):
+        Monomial(factors)
+
+
+def test_constructor_accepts_canonical_factors():
+    factors = ((1, (A1,)), (3, (A0, A1, A0)))
+    m = Monomial(factors)
+    assert m.factors == factors
+    assert m == Monomial.from_dict({3: (A0, A1, A0), 1: (A1,)})
+    assert hash(m) == hash(Monomial.from_dict({3: (A0, A1, A0), 1: (A1,)}))
+    with pytest.raises(AttributeError):
+        m.factors = ()
+
+
+def test_sites_must_be_integers():
+    with pytest.raises(TypeError):
+        Monomial.from_dict({1.5: (A0,)})
+    with pytest.raises(TypeError):
+        Monomial(((1.5, (A0,)),))
+
+
+def _product_by_reduction(m1, m2):
+    """The product by concatenating the site words and reducing them again."""
+    merged = dict(m1.factors)
+    for site, word in m2.factors:
+        merged[site] = merged.get(site, ()) + word
+    return Monomial.from_dict(merged)
+
+
+def _alternating(first, length):
+    return tuple((first + i) % 2 for i in range(length))
+
+
+# a reduced monomial over sites 1..6: each site gets an alternating word of
+# length 0-5 (length 0 drops the site, so the identity is drawn too)
+_monomials = st.dictionaries(
+    st.integers(1, 6),
+    st.builds(_alternating, st.sampled_from((A0, A1)), st.integers(0, 5)),
+    max_size=6).map(Monomial.from_dict)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_monomials, _monomials, _monomials)
+@example(Monomial.from_dict({1: (A0, A1, A0)}), Monomial.from_dict({1: (A0, A1, A0)}),
+         Monomial.identity())
+@example(Monomial.from_dict({2: (A1, A0)}), Monomial.from_dict({2: (A0, A1, A0)}),
+         Monomial.from_dict({1: (A0,), 2: (A1,)}))
+def test_monomial_product_matches_reduction(m1, m2, m3):
+    product, reference = m1 * m2, _product_by_reduction(m1, m2)
+    assert product == reference
+    assert hash(product) == hash(reference)
+    sites = [site for site, _ in product.factors]
+    assert sites == sorted(set(sites))
+    assert all(word for _, word in product.factors)
+    assert (m1 * m2) * m3 == m1 * (m2 * m3)
 
 
 def test_polynomial_arithmetic_drops_zeros():
