@@ -253,6 +253,10 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not math.isfinite(args.state_theta):
+        raise UsageError(f"--state-theta {args.state_theta} is not finite")
+    if args.seed < 0:
+        raise UsageError(f"--seed {args.seed} must be >= 0")
     code, _, poly = _inputs(args)
     if code is None:
         raise UsageError("simulate needs --code (not chsh) or --code-file")

@@ -50,11 +50,13 @@ class SOSCertificate:
             raise CertificateError("need one alpha per operator")
         if not 0.0 <= self.theta <= math.pi / 2:
             raise CertificateError(f"theta={self.theta} outside [0, pi/2]")
-        if self.alpha0 < 0:
-            raise CertificateError("alpha0 must be >= 0")
+        # written so that NaN fails each comparison
+        if not 0 <= self.alpha0 < math.inf:
+            raise CertificateError(f"alpha0 = {self.alpha0} must be finite and >= 0")
         for i, a in enumerate(self.alphas):
-            if a <= 0:
-                raise CertificateError(f"alpha_{i + 1} = {a} must be positive")
+            if not 0 < a < math.inf:
+                raise CertificateError(
+                    f"alpha_{i + 1} = {a} must be finite and positive")
         if not 0.0 < self.mu < math.pi / 2:
             raise CertificateError(f"mu={self.mu} outside (0, pi/2)")
         for word in self.operators:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .pauli import StabilizerCode, preset_data
 
@@ -744,16 +744,19 @@ class SubsetResult:
     transcript: Transcript
 
 
+# search_subsets runs one deduction per subset, 2^n in all; it refuses
+# codes on more sites than this
+EXHAUSTIVE_LIMIT = 12
+
+
 def search_subsets(code: StabilizerCode, budget: Budget | None = None,
-                   extras: bool = True, exhaustive_limit: int = 12,
-                   subset_sizes: Sequence[int] | None = None) -> list[SubsetResult]:
+                   extras: bool = True) -> list[SubsetResult]:
     """Try every pair-site subset in size-then-lexicographic order."""
-    if code.n > exhaustive_limit:
+    if code.n > EXHAUSTIVE_LIMIT:
         raise ProblemError(
-            f"exhaustive subset scan refused for n = {code.n} > {exhaustive_limit}")
-    sizes = subset_sizes if subset_sizes is not None else range(code.n + 1)
+            f"exhaustive subset scan refused for n = {code.n} > {EXHAUSTIVE_LIMIT}")
     results = []
-    for size in sizes:
+    for size in range(code.n + 1):
         for subset in itertools.combinations(range(1, code.n + 1), size):
             problem = problem_for_code(code, pair_sites=subset, extras=extras)
             res = deduce(problem, budget)

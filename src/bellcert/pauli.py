@@ -385,95 +385,6 @@ def validate_code(code: StabilizerCode) -> StabilizerCode:
 # Presets
 # ---------------------------------------------------------------------------
 
-def _word(n: int, spec: Mapping[int, str], q: int = 2,
-          powers: Mapping[int, int] | None = None) -> PauliWord:
-    factors = []
-    for site in sorted(spec):
-        power = (powers or {}).get(site, 1)
-        factors.append((site, spec[site], power))
-    return PauliWord.from_factors(n, factors, q=q)
-
-
-PRESET_NAMES = ("five_qubit", "steane", "shor", "five_qudit")
-
-
-def code_preset(name: str, q: int | None = None) -> StabilizerCode:
-    """Return a named code preset.
-
-    ``five_qudit`` takes the local dimension either as the ``q`` argument or
-    inline as ``five_qudit:3``; it defaults to q=3.
-    """
-    base = name
-    if ":" in name:
-        base, _, qstr = name.partition(":")
-        q = int(qstr)
-    if base == "five_qubit":
-        gens = (
-            _word(5, {1: "X", 2: "Z", 3: "Z", 4: "X"}),
-            _word(5, {2: "X", 3: "Z", 4: "Z", 5: "X"}),
-            _word(5, {1: "X", 3: "X", 4: "Z", 5: "Z"}),
-            _word(5, {1: "Z", 2: "X", 4: "X", 5: "Z"}),
-        )
-        return StabilizerCode(
-            "five_qubit", 5, 1, 2, gens,
-            logical_x=_word(5, {s: "X" for s in range(1, 6)}),
-            logical_z=_word(5, {s: "Z" for s in range(1, 6)}),
-            pair_sites=frozenset({1}),
-        )
-    if base == "steane":
-        gens = (
-            _word(7, {4: "X", 5: "X", 6: "X", 7: "X"}),
-            _word(7, {2: "X", 3: "X", 6: "X", 7: "X"}),
-            _word(7, {1: "X", 3: "X", 5: "X", 7: "X"}),
-            _word(7, {4: "Z", 5: "Z", 6: "Z", 7: "Z"}),
-            _word(7, {2: "Z", 3: "Z", 6: "Z", 7: "Z"}),
-            _word(7, {1: "Z", 3: "Z", 5: "Z", 7: "Z"}),
-        )
-        return StabilizerCode(
-            "steane", 7, 1, 2, gens,
-            logical_x=_word(7, {s: "X" for s in range(1, 8)}),
-            logical_z=_word(7, {s: "Z" for s in range(1, 8)}),
-            pair_sites=frozenset({2, 3, 5, 7}),
-        )
-    if base == "shor":
-        gens = (
-            _word(9, {1: "Z", 2: "Z"}),
-            _word(9, {1: "Z", 3: "Z"}),
-            _word(9, {4: "Z", 5: "Z"}),
-            _word(9, {4: "Z", 6: "Z"}),
-            _word(9, {7: "Z", 8: "Z"}),
-            _word(9, {7: "Z", 9: "Z"}),
-            _word(9, {s: "X" for s in (1, 2, 3, 4, 5, 6)}),
-            _word(9, {s: "X" for s in (1, 2, 3, 7, 8, 9)}),
-        )
-        return StabilizerCode(
-            "shor", 9, 1, 2, gens,
-            logical_x=_word(9, {s: "X" for s in range(1, 10)}),
-            logical_z=_word(9, {s: "Z" for s in range(1, 10)}),
-            pair_sites=frozenset({1, 4, 7}),
-        )
-    if base == "five_qudit":
-        qq = 3 if q is None else int(q)
-        if qq < 2:
-            raise CodeValidationError("five_qudit requires q >= 2")
-        if not _is_prime(qq):
-            raise CodeValidationError(f"five_qudit requires prime q, got {qq}")
-        inv = qq - 1  # dagger exponent
-        gens = (
-            _word(5, {1: "X", 2: "Z", 3: "Z", 4: "X"}, q=qq, powers={3: inv, 4: inv}),
-            _word(5, {2: "X", 3: "Z", 4: "Z", 5: "X"}, q=qq, powers={4: inv, 5: inv}),
-            _word(5, {3: "X", 4: "Z", 5: "Z", 1: "X"}, q=qq, powers={5: inv, 1: inv}),
-            _word(5, {4: "X", 5: "Z", 1: "Z", 2: "X"}, q=qq, powers={1: inv, 2: inv}),
-        )
-        return StabilizerCode(
-            f"five_qudit:{qq}", 5, 1, qq, gens,
-            logical_x=_word(5, {s: "X" for s in range(1, 6)}, q=qq),
-            logical_z=_word(5, {s: "Z" for s in range(1, 6)}, q=qq),
-            pair_sites=frozenset({1}),
-        )
-    raise KeyError(f"unknown code preset {name!r}; known: {', '.join(PRESET_NAMES)}")
-
-
 @dataclass(frozen=True)
 class PresetData:
     """What is published with a preset besides the code itself.
@@ -489,25 +400,72 @@ class PresetData:
     alphas: tuple[float, ...] | None = None
 
 
-_PRESET_DATA = {
-    "five_qubit": PresetData(3, alphas=(math.sqrt(2), 1.0, math.sqrt(2),
-                                        2 * math.sqrt(2))),
-    "steane": PresetData(3, extras=(
-        (4, _word(7, {1: "X", 2: "X", 5: "X", 6: "X"})),
-        (8, _word(7, {1: "Z", 2: "Z", 5: "Z", 6: "Z"})),
-    )),
-    "shor": PresetData(3, extras=(
-        (9, _word(9, {s: "X" for s in range(4, 10)})),
-    )),
-    "five_qudit": PresetData(3),
+# (x, z) exponents of each site letter; x and z are X^(q-1) and Z^(q-1)
+_LETTERS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "x": (-1, 0), "z": (0, -1)}
+
+
+def _word(letters: str, q: int = 2) -> PauliWord:
+    """The phase-free word with one letter per site, e.g. ``XZzxI``."""
+    x, z = zip(*(_LETTERS[c] for c in letters))
+    return PauliWord(len(letters), q, x, z)
+
+
+# name -> (generators, pair sites, published data); at q = 2 the cyclic
+# five-qudit code is the five-qubit code, so the two share generators
+_FIVE = ("XZzxI", "IXZzx", "xIXZz", "zxIXZ")
+_PRESETS = {
+    "five_qubit": (_FIVE, (1,), PresetData(3, alphas=(
+        math.sqrt(2), 1.0, math.sqrt(2), 2 * math.sqrt(2)))),
+    "steane": (("IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"),
+               (2, 3, 5, 7),
+               PresetData(3, extras=((4, _word("XXIIXXI")), (8, _word("ZZIIZZI"))))),
+    "shor": (("ZZIIIIIII", "ZIZIIIIII", "IIIZZIIII", "IIIZIZIII", "IIIIIIZZI",
+              "IIIIIIZIZ", "XXXXXXIII", "XXXIIIXXX"),
+             (1, 4, 7),
+             PresetData(3, extras=((9, _word("IIIXXXXXX")),))),
+    "five_qudit": (_FIVE, (1,), PresetData(3)),
 }
+PRESET_NAMES = tuple(_PRESETS)
+
+
+def code_preset(name: str, q: int | None = None) -> StabilizerCode:
+    """Return a named code preset.
+
+    ``five_qudit`` takes the local dimension either as the ``q`` argument or
+    inline as ``five_qudit:3``; it defaults to q=3.  The qubit presets take
+    only q=2.
+    """
+    base, colon, qstr = name.partition(":")
+    if base not in _PRESETS:
+        raise KeyError(
+            f"unknown code preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    gens, pair_sites, _ = _PRESETS[base]
+    if colon:
+        try:
+            q = int(qstr)
+        except ValueError:
+            raise CodeValidationError(
+                f"local dimension {qstr!r} in {name!r} is not an integer") from None
+    if base == "five_qudit":
+        q = 3 if q is None else int(q)
+        if not _is_prime(q):
+            raise CodeValidationError(f"five_qudit requires prime q >= 2, got {q}")
+        name = f"five_qudit:{q}"
+    elif q in (None, 2):
+        name, q = base, 2
+    else:
+        raise CodeValidationError(f"{base} is a qubit code; q={q} is not 2")
+    n = len(gens[0])
+    return StabilizerCode(name, n, 1, q, tuple(_word(g, q) for g in gens),
+                          logical_x=_word("X" * n, q), logical_z=_word("Z" * n, q),
+                          pair_sites=pair_sites)
 
 
 @functools.lru_cache(maxsize=16)
 def _reference_preset(base: str, q: int) -> StabilizerCode | None:
     try:
         return code_preset(base, q=q)
-    except ValueError:  # five_qudit at a q that is not prime
+    except ValueError:  # a q the preset does not take
         return None
 
 
@@ -518,9 +476,9 @@ def preset_data(code: StabilizerCode) -> PresetData | None:
     logical or a pair site is another code and gets no preset data.
     """
     base = code.name.partition(":")[0]
-    if base not in _PRESET_DATA or code != _reference_preset(base, code.q):
+    if base not in _PRESETS or code != _reference_preset(base, code.q):
         return None
-    return _PRESET_DATA[base]
+    return _PRESETS[base][2]
 
 
 # ---------------------------------------------------------------------------

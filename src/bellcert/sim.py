@@ -68,7 +68,7 @@ class Strategy:
             if self.realization.dim(site) != 2:
                 raise ValueError("sampling requires dimension-2 sites")
         norm = np.linalg.norm(self.state)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"state norm {norm} != 1")
         self._rng = np.random.default_rng(self.seed)
         # per site and setting: (ascending eigenvalues, eigenvector columns)

@@ -40,6 +40,15 @@ class TestCodes:
     def test_unknown_code_exits_2(self, capsys):
         assert run(["codes", "show", "--code", "bogus"]) == 2
 
+    @pytest.mark.parametrize("name, message", [
+        ("five_qudit:abc", "'abc' in 'five_qudit:abc' is not an integer"),
+        ("steane:3", "steane is a qubit code; q=3 is not 2"),
+        ("five_qubit:5", "five_qubit is a qubit code; q=5 is not 2"),
+    ])
+    def test_bad_preset_dimension_exits_2(self, name, message, capsys):
+        assert run(["codes", "show", "--code", name]) == 2
+        assert message in capsys.readouterr().err
+
     def test_show_json_round_trips(self, capsys):
         assert run(["codes", "show", "--code", "five_qubit", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -110,6 +119,16 @@ class TestBell:
     def test_bad_theta_exits_2(self):
         assert run(["bell", "build", "--code", "five_qubit",
                     "--theta", str(0.9 * math.pi)]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "all", "--alpha", "inf,1,1,1"], "alpha_1 = inf"),
+        (["bell", "build", "--alpha0", "nan"], "alpha0 = nan"),
+        (["verify", "sos", "--alpha", "nan,1,1,1"], "alpha_1 = nan"),
+        (["verify", "all", "--alpha0", "inf"], "alpha0 = inf"),
+    ], ids=["alpha-inf", "alpha0-nan", "alpha-nan", "alpha0-inf"])
+    def test_non_finite_weight_exits_2(self, argv, message, capsys):
+        assert run(argv + ["--code", "five_qubit"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_steane_unit_alphas_bound(self, capsys):
         assert run(["bell", "build", "--code", "steane"]) == 0
@@ -429,6 +448,16 @@ class TestSimulate:
         assert "--shots 6 below 7" in capsys.readouterr().err
         assert run(base + ["--shots", "7"]) == 0
         assert json.loads(capsys.readouterr().out)["shots"] == 7
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--state-theta", "nan"], "--state-theta nan is not finite"),
+        (["--state-theta", "inf"], "--state-theta inf is not finite"),
+        (["--seed", "-1"], "--seed -1 must be >= 0"),
+    ], ids=["theta-nan", "theta-inf", "seed-negative"])
+    def test_bad_state_or_seed_exits_2(self, flags, message, capsys):
+        argv = ["simulate", "estimate", "--code", "five_qubit", "--seed", "1"]
+        assert run(argv + flags) == 2
+        assert message in capsys.readouterr().err
 
     def test_shots_above_cap_exit_2(self, capsys):
         assert run(["simulate", "estimate", "--code", "five_qubit", "--seed",

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from bellcert.engine import (CONTRADICTION, PROVED, UNKNOWN, Budget, Problem,
                              _suffix_split, deduce, normalize,
                              problem_for_code, search_subsets,
                              transcript_render, word_product)
-from bellcert.pauli import code_preset
+from bellcert.pauli import code_preset, load_code
 from bellcert.verify import model_check_deduction
 
 
@@ -172,8 +173,9 @@ class TestSearch:
         assert (1,) in proved
 
     def test_steane_scan_contains_paper_subset(self, steane):
-        results = search_subsets(steane, subset_sizes=[4])
-        proved = {r.subset for r in results if r.status == PROVED}
+        results = search_subsets(steane)
+        proved = {r.subset for r in results
+                  if len(r.subset) == 4 and r.status == PROVED}
         assert (2, 3, 5, 7) in proved
 
     def test_empty_operator_list_proves_nothing(self):
@@ -186,11 +188,10 @@ class TestSearch:
             assert res.status != PROVED
 
     def test_size_guard(self):
-        import dataclasses
-        code = code_preset("shor")
-        big = dataclasses.replace(code)  # n=9 fine; fake larger limit check
-        with pytest.raises(Exception):
-            search_subsets(big, exhaustive_limit=8)
+        qrm15 = load_code((Path(__file__).parent / "fixtures" / "qrm15.json")
+                          .read_text())
+        with pytest.raises(ProblemError, match="n = 15 > 12"):
+            search_subsets(qrm15)
 
 
 def _draw_problem(draw):

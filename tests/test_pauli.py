@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from bellcert.pauli import (CodeValidationError, PauliWord, SizeLimitError,
                             StabilizerCode, apply_word, code_preset,
                             codespace_basis, comm_exponent, load_code, mul,
-                            stabilizer_group, validate_code)
+                            preset_data, stabilizer_group, validate_code)
 from bellcert.verify import principal_angle_sin
 
 
@@ -150,6 +152,39 @@ def test_shor_generators_as_listed(shor):
 def test_qudit_preset_rejects_composite_dimension():
     with pytest.raises(CodeValidationError):
         code_preset("five_qudit", q=4)
+
+
+@pytest.mark.parametrize("name, q", [
+    ("five_qudit:abc", None), ("five_qudit:", None), ("steane:3", None),
+    ("five_qubit:5", None), ("shor", 3),
+])
+def test_preset_dimension_refused(name, q):
+    with pytest.raises(CodeValidationError):
+        code_preset(name, q=q)
+
+
+def test_qubit_preset_takes_q_2():
+    steane = code_preset("steane")
+    assert code_preset("steane:2") == code_preset("steane", q=2) == steane
+
+
+# SHA-256 of every preset document and its published data, taken before the
+# presets moved into one table.
+GOLDEN_PRESET_DIGEST = (
+    "fe9a53b9ffa00c1ddeec30d9d40c7f169823521af709b9b44e89242a50fa8f34")
+
+
+def test_golden_preset_digest():
+    names = (["five_qubit", "steane", "shor", "five_qudit"]
+             + [f"five_qudit:{q}" for q in (2, 3, 5, 7, 11)])
+    docs = []
+    for name in names:
+        code = code_preset(name)
+        d = preset_data(code)
+        docs.append([code.to_json(), None if d is None else [
+            d.distance, [[pos, w.to_json()] for pos, w in d.extras], d.alphas]])
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_PRESET_DIGEST
 
 
 def test_load_code_roundtrip(five_qubit):

@@ -280,6 +280,10 @@ class TestStrategy:
         with pytest.raises(ValueError):
             Strategy(np.array([1.0, 1.0, 0, 0]), direct_realization(2))
 
+    def test_nan_state_refused(self):
+        with pytest.raises(ValueError, match="state norm nan"):
+            Strategy(np.array([math.nan, 0, 0, 0]), direct_realization(2))
+
     def test_dimension_checked(self):
         with pytest.raises(ValueError):
             Strategy(np.array([1.0, 0, 0, 0]), direct_realization(3))
