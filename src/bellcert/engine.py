@@ -131,63 +131,66 @@ class Budget:
 #     operator(factors) == omega^ph * operator(word).
 # ---------------------------------------------------------------------------
 
-def _normalize_site(runs: Iterable[tuple[str, int]], site: int,
-                    problem: Problem) -> tuple[SiteRuns, int]:
-    """Site-local normal form and the omega-phase extracted from it."""
-    q = problem.q
-    if problem.is_pair(site):
-        # Weyl order X^a Z^b: moving every X run left past the Z runs before
-        # it extracts omega^{b a} per (Z^b, X^a) pair via Z X = omega X Z.
-        x_total = z_total = phase = 0
-        for sym, power in runs:
-            if sym == "X":
-                x_total += power
-                phase += z_total * power
+def word_product(a: Word, b: Word, problem: Problem) -> tuple[Word, int]:
+    """Normal form of a * b for words a and b already in normal form.
+
+    One merge of the two site-sorted words.  At a site both touch, a pair
+    site keeps the Weyl order: Z X = omega X Z gives X^a Z^b X^c Z^d =
+    omega^{bc} X^{a+c} Z^{b+d}.  Off the pair set X^q = Z^q = 1 holds as
+    operators and runs stay in order, so they join only at the junction:
+    equal symbols add their powers mod q, and a run that cancels exposes
+    the next two, which again share a symbol.
+    """
+    q, pair_sites = problem.q, problem.pair_sites
+    out = []
+    phase = i = j = 0
+    while i < len(a) and j < len(b):
+        (site, ra), (site_b, rb) = a[i], b[j]
+        if site != site_b:
+            if site < site_b:
+                out.append(a[i])
+                i += 1
             else:
-                z_total += power
-        return tuple((sym, power) for sym, power in
-                     (("X", x_total), ("Z", z_total)) if power), phase % q
-    # X^q = Z^q = 1 holds as operators off the pair set; runs stay in order
-    merged: list[tuple[str, int]] = []
-    for sym, power in runs:
-        if merged and merged[-1][0] == sym:
-            power += merged.pop()[1]
-        power %= q
-        if power:
-            merged.append((sym, power))
-    return tuple(merged), 0
+                out.append(b[j])
+                j += 1
+            continue
+        i += 1
+        j += 1
+        if site in pair_sites:
+            xa = ra[0][1] if ra[0][0] == "X" else 0
+            za = ra[-1][1] if ra[-1][0] == "Z" else 0
+            xb = rb[0][1] if rb[0][0] == "X" else 0
+            zb = rb[-1][1] if rb[-1][0] == "Z" else 0
+            phase += za * xb
+            x, z = xa + xb, za + zb
+            runs = (("X", x),) * (x != 0) + (("Z", z),) * (z != 0)
+        else:
+            k, m = len(ra), 0
+            while k and m < len(rb) and ra[k - 1][0] == rb[m][0]:
+                power = (ra[k - 1][1] + rb[m][1]) % q
+                if power:
+                    runs = ra[:k - 1] + ((rb[m][0], power),) + rb[m + 1:]
+                    break
+                k, m = k - 1, m + 1
+            else:
+                runs = ra[:k] + rb[m:]
+        if runs:
+            out.append((site, runs))
+    return tuple(out) + a[i:] + b[j:], phase % q
 
 
 def normalize(factors: Iterable[tuple[int, str, int]],
               problem: Problem) -> tuple[Word, int]:
-    per_site: dict[int, list[tuple[str, int]]] = {}
+    """The product of the factors, one at a time, by `word_product`."""
+    word, phase = (), 0
     for site, sym, power in factors:
-        per_site.setdefault(site, []).append((sym, int(power)))
-    phase = 0
-    items = []
-    for site in sorted(per_site):
-        runs, ph = _normalize_site(per_site[site], site, problem)
-        phase += ph
-        if runs:
-            items.append((site, runs))
-    return tuple(items), phase % problem.q
-
-
-def word_product(a: Word, b: Word, problem: Problem) -> tuple[Word, int]:
-    """Normal form of a * b for words a and b already in normal form.
-
-    Only the sites both words touch are renormalized: `_normalize_site`
-    returns a normal site word unchanged, with phase 0.
-    """
-    merged = dict(a)
-    phase = 0
-    for site, runs in b:
-        if site in merged:
-            runs, ph = _normalize_site(merged[site] + runs, site, problem)
+        power = int(power)
+        if not problem.is_pair(site):
+            power %= problem.q
+        if power:
+            word, ph = word_product(word, ((site, ((sym, power),)),), problem)
             phase += ph
-        merged[site] = runs
-    return (tuple((site, runs) for site, runs in sorted(merged.items()) if runs),
-            phase % problem.q)
+    return word, phase % problem.q
 
 
 def word_dagger(a: Word, problem: Problem) -> tuple[Word, int]:
@@ -201,10 +204,6 @@ def word_dagger(a: Word, problem: Problem) -> tuple[Word, int]:
 
 def word_letters(a: Word) -> int:
     return sum(abs(p) for _, runs in a for _, p in runs)
-
-
-def word_all_even(a: Word) -> bool:
-    return all(p % 2 == 0 for _, runs in a for _, p in runs)
 
 
 def render_word(a: Word) -> str:
@@ -292,12 +291,14 @@ class Fact:
     phase: int  # omega exponent: word |psi> = omega^phase |psi>
     rule: str
     premises: tuple[int, ...] = ()
-    site_set: frozenset[int] = frozenset()
+    sites: int = 0  # bit s set for each site s the word touches
     letters: int = 0
+    even: bool = False  # every run power is even
 
     def __post_init__(self):
-        self.site_set = frozenset(site for site, _ in self.word)
+        self.sites = sum(1 << site for site, _ in self.word)
         self.letters = word_letters(self.word)
+        self.even = all(p % 2 == 0 for _, runs in self.word for _, p in runs)
 
 
 def _facts_in(mask: int, facts: list[Fact]) -> Iterator[Fact]:
@@ -349,6 +350,9 @@ class DeduceResult:
     pair_comm: dict[int, int]
     rounds: int
     reason: str = ""
+    products_used: int = 0  # r3_combine products counted against the budget
+    dropped_by_letters: int = 0  # words refused for max_word_letters
+    dropped_by_max_facts: int = 0  # words refused for max_facts
 
 
 class _Engine:
@@ -362,7 +366,13 @@ class _Engine:
         self.transcript = Transcript()
         self.contradiction: str | None = None
         self.products_used = 0
+        # (a.idx, b.idx) whose combine product can add nothing, see r3_combine
+        self.settled: set[tuple[int, int]] = set()
         self.r4_done: set[tuple[int, int, int]] = set()
+        # raw (uv, phase, vu, phase) of the solve-transfer pairs that wait on
+        # an unknown site commutation
+        self.r4_blocked: dict[tuple[int, int, int],
+                              tuple[Word, int, Word, int]] = {}
         # Candidate index, bit i standing for self.facts[i]: the facts that
         # touch a site, and those whose last run there has a given symbol
         # and power sign.  A fact can be a per-site suffix of a word only if
@@ -374,7 +384,7 @@ class _Engine:
         # site -> sym -> solved forms of self.facts[:self.solved]
         self.solves: dict[int, dict[str, list[tuple[int, Fact, Word]]]] = {}
         self.solved = 0
-        self.dropped = False  # a word was refused for a budget limit
+        self.dropped_by_letters = self.dropped_by_max_facts = 0
 
     # -- fact bookkeeping -------------------------------------------------
 
@@ -434,9 +444,11 @@ class _Engine:
                     f"scalar equation omega^{phase} psi = psi with "
                     f"{phase} != 0", rule, premises)
             return None
-        if (word_letters(word) > self.budget.max_word_letters
-                or len(self.facts) >= self.budget.max_facts):
-            self.dropped = True
+        if word_letters(word) > self.budget.max_word_letters:
+            self.dropped_by_letters += 1
+            return None
+        if len(self.facts) >= self.budget.max_facts:
+            self.dropped_by_max_facts += 1
             return None
         fact = Fact(len(self.facts), word, phase, rule, premises)
         self.facts.append(fact)
@@ -565,12 +577,30 @@ class _Engine:
                 if added is not None:
                     queue.append(added.idx)
 
+    def _drops(self) -> int:
+        return self.dropped_by_letters + self.dropped_by_max_facts
+
     def r3_combine(self, a: Fact, b: Fact):
+        """Store a * b, counting the product against `max_products`.
+
+        Once a product of (a, b) stored a fact or rewrote to the empty word,
+        the pair is settled: a later try would resume the rewrite memo at
+        that fact, or at the empty word, and reach the empty word with phase
+        0, which adds nothing.  A settled pair still counts, so the budget
+        runs out where it always did, but skips the work.  A try refused for
+        a budget limit leaves the pair open: newer facts may shorten it.
+        """
         if self.contradiction or self.products_used >= self.budget.max_products:
             return
         self.products_used += 1
+        key = (a.idx, b.idx)
+        if key in self.settled:
+            return
+        drops = self._drops()
         word, ph = word_product(a.word, b.word, self.problem)
-        self.add_fact(word, a.phase + b.phase - ph, "combine", (a.idx, b.idx))
+        self.add_fact(word, a.phase + b.phase - ph, "combine", key)
+        if self._drops() == drops:
+            self.settled.add(key)
 
     def _extend_solves(self):
         """Add the facts stored since the last call to `self.solves`,
@@ -614,6 +644,11 @@ class _Engine:
         products normalize to the same word, or differ at one site whose
         commutation fact is already known (that site's factors commute to
         the state side).  The exponent is recorded per site.
+
+        A pair is settled once it records a phase or proves unusable.  A
+        pair blocked on a site whose commutation is still unknown is tried
+        again each round, from its stored products, since the rests never
+        change; only rewriting by newer facts can move it.
         """
         self._extend_solves()
         for site in sorted(self.solves):
@@ -623,10 +658,13 @@ class _Engine:
                 key = (fx.idx, fz.idx, site)
                 if key in self.r4_done:
                     continue
-                uv, ph1 = word_product(u_rest, v_rest, self.problem)
-                vu, ph2 = word_product(v_rest, u_rest, self.problem)
-                uv, ph1 = self._rewrite(uv, ph1)
-                vu, ph2 = self._rewrite(vu, ph2)
+                raw = self.r4_blocked.pop(key, None) or (
+                    *word_product(u_rest, v_rest, self.problem),
+                    *word_product(v_rest, u_rest, self.problem))
+                uv, ph1, vu, ph2 = raw
+                if uv != vu:  # equal words rewrite alike, phase gap and all
+                    uv, ph1 = self._rewrite(uv, ph1)
+                    vu, ph2 = self._rewrite(vu, ph2)
                 if uv == vu:
                     self.r4_done.add(key)
                     self.add_pair_comm(site, ph1 - ph2, "solve-transfer",
@@ -640,7 +678,9 @@ class _Engine:
                     bsite, orientation = blocked
                     known = self.pair_comm.get(bsite)
                     if known is None:
-                        continue  # retry once a commutation fact lands there
+                        # retry once a commutation fact lands there
+                        self.r4_blocked[key] = raw
+                        continue
                     self.r4_done.add(key)
                     self.add_pair_comm(site, ph1 + orientation * known - ph2,
                                        "solve-transfer", (fx.idx, fz.idx),
@@ -654,9 +694,41 @@ class _Engine:
         return (len(self.facts) >= self.budget.max_facts
                 or self.products_used >= self.budget.max_products)
 
+    def _combine_round(self, frontier: list[Fact], known: list[Fact]):
+        """Try r3_combine on both orders of every frontier x known pair.
+
+        The frontier lies inside known, so each pair of frontier facts comes
+        up twice; the second time both orders are settled unless a budget
+        refused them (see r3_combine).  The round ends early once the
+        product budget or a contradiction turns every later try away.
+        """
+        if self.budget.combine == "even":
+            frontier = [f for f in frontier if f.even]
+            known = [f for f in known if f.even]
+        letters = self.budget.max_word_letters
+        for a in frontier:
+            for b in known:
+                # disjoint products never feed the goal rules, and
+                # normalization and rewriting only shrink words
+                if a.sites & b.sites and a.letters + b.letters <= letters:
+                    self.r3_combine(a, b)
+                    self.r3_combine(b, a)
+                    if (self.contradiction or self.products_used
+                            >= self.budget.max_products):
+                        return
+
     def run(self) -> DeduceResult:
+        """Saturate round by round until the goal, a contradiction or a limit.
+
+        A round applies the power and Hermitian-root rules to the frontier
+        (the facts the last round added), then solve-transfer, then the
+        product rule over frontier x known.  A combine pair whose product
+        once stored a fact or rewrote to nothing is settled: the rewrite
+        memo takes its product to the empty word with phase 0 again, so
+        `r3_combine` counts it and skips it.
+        """
         self.seed()
-        starved = self.dropped  # a seed was refused for a budget limit
+        starved = self._drops() > 0  # a seed was refused for a budget limit
         frontier = list(self.facts)
         rounds = 0
         status = reason = None
@@ -681,21 +753,7 @@ class _Engine:
                 self.r5_hermitian_root(fact)
             self.r4_transfer()
             if not self.goal_met():
-                # the frontier lies inside known, so this tries every pair
-                # of frontier facts in both orders
-                known = self.facts[:mark]
-                if self.budget.combine == "even":
-                    frontier = [f for f in frontier if word_all_even(f.word)]
-                    known = [f for f in known if word_all_even(f.word)]
-                letters = self.budget.max_word_letters
-                for a in frontier:
-                    for b in known:
-                        # disjoint products never feed the goal rules, and
-                        # normalization and rewriting only shrink words
-                        if (a.site_set & b.site_set
-                                and a.letters + b.letters <= letters):
-                            self.r3_combine(a, b)
-                            self.r3_combine(b, a)
+                self._combine_round(frontier, self.facts[:mark])
             self.reduce_phase(mark)
             frontier = self.facts[mark:]
 
@@ -708,7 +766,9 @@ class _Engine:
         else:
             self.transcript.status_line = f"unknown: {reason}"
         return DeduceResult(status, self.transcript, self.facts,
-                            dict(self.pair_comm), rounds, reason)
+                            dict(self.pair_comm), rounds, reason,
+                            self.products_used, self.dropped_by_letters,
+                            self.dropped_by_max_facts)
 
 
 def deduce(problem: Problem, budget: Budget | None = None) -> DeduceResult:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bellcert.engine import (CONTRADICTION, PROVED, UNKNOWN, Budget, Problem,
-                             ProblemError, _Engine, _site_suffix_split,
-                             _suffix_split, deduce, normalize,
-                             problem_for_code, search_subsets,
+                             ProblemError, _Engine, _single_transposed_site,
+                             _site_suffix_split, _suffix_split, deduce,
+                             normalize, problem_for_code, search_subsets,
                              transcript_render, word_product)
 from bellcert.pauli import code_preset, load_code
 from bellcert.verify import model_check_deduction
@@ -109,10 +109,25 @@ class TestBudgets:
 
     @pytest.mark.parametrize("limit", ["max_facts", "max_word_letters"])
     def test_refused_seeds_report_the_budget(self, shor, limit):
-        res = deduce(problem_for_code(shor), Budget(**{limit: 0}))
+        problem = problem_for_code(shor)
+        res = deduce(problem, Budget(**{limit: 0}))
         assert (res.status, res.reason, res.facts) == (
             UNKNOWN, "budget exhausted", [])
         assert res.transcript.status_line == "unknown: budget exhausted"
+        # every seed is refused, each counted under its own limit
+        refused = len(problem.operators)
+        assert (res.dropped_by_max_facts, res.dropped_by_letters) == (
+            (refused, 0) if limit == "max_facts" else (0, refused))
+        assert res.products_used == 0
+
+    def test_product_budget_is_spent_exactly(self, steane):
+        problem = problem_for_code(steane)
+        free = deduce(problem)
+        assert free.status == PROVED
+        assert 0 < free.products_used < Budget().max_products
+        capped = deduce(problem, Budget(max_products=free.products_used // 2))
+        assert (capped.status, capped.reason) == (UNKNOWN, "budget exhausted")
+        assert capped.products_used == free.products_used // 2
 
     def test_no_operators_still_saturate(self):
         problem = Problem(n=1, q=2, pair_sites=frozenset(), operators=())
@@ -238,11 +253,43 @@ def _operator(factors, n, q):
     return reduce(np.kron, sites)
 
 
+def _normalize_loop(factors, problem):
+    """Run-by-run reference for `normalize`: each site's runs in order,
+    X runs moved left past Z runs at a pair site (Weyl order X^a Z^b),
+    equal neighbours merged mod q off the pair set."""
+    per_site = {}
+    for site, sym, power in factors:
+        per_site.setdefault(site, []).append((sym, power))
+    word, phase = [], 0
+    for site in sorted(per_site):
+        if problem.is_pair(site):
+            x = z = 0
+            for sym, power in per_site[site]:
+                if sym == "X":
+                    x += power
+                    phase += z * power
+                else:
+                    z += power
+            runs = tuple(r for r in (("X", x), ("Z", z)) if r[1])
+        else:
+            merged = []
+            for sym, power in per_site[site]:
+                if merged and merged[-1][0] == sym:
+                    power += merged.pop()[1]
+                if power % problem.q:
+                    merged.append((sym, power % problem.q))
+            runs = tuple(merged)
+        if runs:
+            word.append((site, runs))
+    return tuple(word), phase % problem.q
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(_factor_lists())
 def test_normalize_matches_shift_and_clock(case):
     problem, factors = case
     word, ph = normalize(factors, problem)
+    assert (word, ph) == _normalize_loop(factors, problem)
     for site, runs in word:
         if problem.is_pair(site):  # Weyl order X^a Z^b
             assert [sym for sym, _ in runs] in (["X"], ["Z"], ["X", "Z"])
@@ -324,11 +371,28 @@ def _normal_word_pairs(draw):
     return problem, a, b
 
 
+def _one_site(q, pair, *words):
+    """A one-site problem and words on its site, each given as its runs."""
+    problem = Problem(n=1, q=q, pair_sites=frozenset({1} if pair else ()),
+                      operators=())
+    return (problem, *(((1, tuple(runs)),) for runs in words))
+
+
+_XZX = [("X", 1), ("Z", 1), ("X", 1)]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(_normal_word_pairs())
+# X Z X * X Z X cancels one run after another down to the identity
+@example(_one_site(2, False, _XZX, _XZX))
+# Z X * X Z at q = 3 merges the junction into X^2 and stops there
+@example(_one_site(3, False, [("Z", 1), ("X", 1)], [("X", 1), ("Z", 1)]))
+# X^-2 Z^3 * X^-1 Z^-4 at a q = 5 pair site: omega^{3 * -1} X^-3 Z^-1
+@example(_one_site(5, True, [("X", -2), ("Z", 3)], [("X", -1), ("Z", -4)]))
 def test_word_product_matches_normalize(case):
     problem, a, b = case
-    assert word_product(a, b, problem) == normalize(_flat(a) + _flat(b), problem)
+    assert (word_product(a, b, problem)
+            == _normalize_loop(_flat(a) + _flat(b), problem))
 
 
 def _site_suffix_split_loop(runs, suffix):
@@ -364,6 +428,111 @@ def test_site_suffix_split_matches_loop(runs, suffix, own_tail):
     assert _site_suffix_split(runs, suffix) == _site_suffix_split_loop(runs, suffix)
 
 
+def _product(a, b, problem):
+    return _normalize_loop(_flat(a) + _flat(b), problem)
+
+
+class _EveryPairEngine(_Engine):
+    """The product and solve-transfer rules computing every pair afresh:
+    no settled combine pairs, no stop at the product budget, no kept
+    transfer products, products by the run-by-run normalization."""
+
+    def r3_combine(self, a, b):
+        if self.contradiction or self.products_used >= self.budget.max_products:
+            return
+        self.products_used += 1
+        word, ph = _product(a.word, b.word, self.problem)
+        self.add_fact(word, a.phase + b.phase - ph, "combine", (a.idx, b.idx))
+
+    def _combine_round(self, frontier, known):
+        def even(f):
+            return all(p % 2 == 0 for _, runs in f.word for _, p in runs)
+
+        if self.budget.combine == "even":
+            frontier = [f for f in frontier if even(f)]
+            known = [f for f in known if even(f)]
+        for a in frontier:
+            for b in known:
+                if ({s for s, _ in a.word} & {s for s, _ in b.word}
+                        and a.letters + b.letters <= self.budget.max_word_letters):
+                    self.r3_combine(a, b)
+                    self.r3_combine(b, a)
+
+    def r4_transfer(self):
+        self._extend_solves()
+        for site in sorted(self.solves):
+            entry = self.solves[site]
+            for (px, fx, u_rest), (pz, fz, v_rest) in itertools.product(
+                    entry.get("X", ()), entry.get("Z", ())):
+                key = (fx.idx, fz.idx, site)
+                if key in self.r4_done:
+                    continue
+                uv, ph1 = self._rewrite(*_product(u_rest, v_rest, self.problem))
+                vu, ph2 = self._rewrite(*_product(v_rest, u_rest, self.problem))
+                if uv == vu:
+                    self.r4_done.add(key)
+                    self.add_pair_comm(site, ph1 - ph2, "solve-transfer",
+                                       (fx.idx, fz.idx),
+                                       detail=f"powers ({px},{pz})")
+                else:
+                    blocked = _single_transposed_site(uv, vu)
+                    if blocked is None:
+                        self.r4_done.add(key)
+                        continue
+                    bsite, orientation = blocked
+                    known = self.pair_comm.get(bsite)
+                    if known is None:
+                        continue
+                    self.r4_done.add(key)
+                    self.add_pair_comm(site, ph1 + orientation * known - ph2,
+                                       "solve-transfer", (fx.idx, fz.idx),
+                                       detail=f"via site {bsite} commutation")
+                if self.contradiction:
+                    return
+
+
+@st.composite
+def _tight_runs(draw):
+    """A preset's operators on a random pair-site subset, or one to six
+    random operators, under a tight budget."""
+    name = draw(st.sampled_from(["five_qubit", "steane", "shor", "five_qudit:3",
+                                 None, None, None]))
+    if name:
+        code = code_preset(name)
+        problem = problem_for_code(code, pair_sites=draw(
+            st.sets(st.integers(1, code.n))))
+    else:
+        problem = _draw_problem(draw)
+        ops = tuple(tuple(_draw_factors(draw, problem, 4))
+                    for _ in range(draw(st.integers(1, 6))))
+        problem = Problem(n=problem.n, q=problem.q,
+                          pair_sites=problem.pair_sites, operators=ops)
+    # sampled_from leans to its first entries: busy budgets first
+    budget = Budget(max_products=draw(st.sampled_from(range(40, -1, -1))),
+                    max_word_letters=draw(st.sampled_from(range(8, -1, -1))),
+                    max_facts=draw(st.sampled_from(range(24, -1, -1))),
+                    combine=draw(st.sampled_from(["all", "even"])))
+    return problem, budget
+
+
+def _outcome(res):
+    return (res.status, [(f.word, f.phase, f.rule, f.premises) for f in res.facts],
+            res.pair_comm, transcript_render(res.transcript), res.rounds,
+            res.products_used, res.dropped_by_letters, res.dropped_by_max_facts)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_tight_runs())
+# max_facts refuses first tries of frontier pairs, which come up again
+@example((problem_for_code(code_preset("five_qubit"), pair_sites=(1, 2)),
+          Budget(max_facts=8, max_products=40, max_word_letters=8,
+                 combine="all")))
+def test_engine_matches_every_pair_reference(case):
+    problem, budget = case
+    assert (_outcome(_Engine(problem, budget).run())
+            == _outcome(_EveryPairEngine(problem, budget).run()))
+
+
 # SHA-256 of these runs' status, facts (word, phase, rule, premises),
 # pair_comm and transcript text, as the scan-based engine produced them.
 GOLDEN_DEDUCE_DIGEST = (
@@ -392,3 +561,28 @@ def test_golden_deduce_digest(five_qubit, steane, shor):
             sorted(res.pair_comm.items()),
             transcript_render(res.transcript))).encode())
     assert digest.hexdigest() == GOLDEN_DEDUCE_DIGEST
+
+
+# The same fields plus the products counted, over tight budgets, as the
+# engine produced them before it skipped settled combine pairs.
+GOLDEN_TIGHT_DIGEST = (
+    "d2547cfd58ea9e9d67c1ec09ce1daf665be45f658c3d78e8988b935e86844a09")
+
+
+def test_golden_tight_budget_digest(five_qubit, steane, shor):
+    digest = hashlib.sha256()
+    for code in (five_qubit, steane, shor, code_preset("five_qudit", q=3)):
+        problem = problem_for_code(code)
+        for products, letters, facts, combine in itertools.product(
+                (0, 1, 3, 17, 60, 250), (2, 4, 8, 16), (5, 40, 5000),
+                ("even", "all")):
+            res = deduce(problem, Budget(max_products=products,
+                                         max_word_letters=letters,
+                                         max_facts=facts, combine=combine))
+            digest.update(repr((
+                res.status,
+                [(f.word, f.phase, f.rule, f.premises) for f in res.facts],
+                sorted(res.pair_comm.items()),
+                transcript_render(res.transcript),
+                res.products_used)).encode())
+    assert digest.hexdigest() == GOLDEN_TIGHT_DIGEST
