@@ -112,11 +112,10 @@ def _assignment(poly: BellPolynomial,
     return asg
 
 
-def _spectrum(poly: BellPolynomial,
-              bound: float | None = None) -> verify.SpectralReport:
+def _spectrum(poly: BellPolynomial) -> verify.SpectralReport:
     """Top of the spectrum at the canonical realization named by poly.meta."""
     real = verify.canonical_realization(_assignment(poly))
-    return verify.max_eig(verify.materialize(poly, real), bound=bound)
+    return verify.max_eig(verify.materialize(poly, real))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +165,17 @@ def cmd_verify(args) -> int:
     if args.sweep and args.check != "spectral":
         raise UsageError(f"--sweep needs the spectral check, not {args.check}")
     code, compiled, poly = _inputs(args)
+    thetas = _parse_floats(args.sweep) if args.sweep else None
+    if thetas:
+        if code is None:
+            raise UsageError("--sweep needs --code or --code-file")
+        cert = replace(compiled.certificate, alpha0=args.alpha0 or 1.0)
+        rows = verify.tilt_sweep(cert, code, thetas)
+        csv = "theta,max_eig,fidelity\n" + "\n".join(
+            f"{r['theta']:.10g},{r['max_eig']:.10g},{r['fidelity']:.10g}"
+            for r in rows) + "\n"
+        _write_text(csv, args.out)
+        return EXIT_OK
 
     checks: dict[str, dict] = {}
     if args.check in ("sos", "all"):
@@ -174,38 +184,24 @@ def cmd_verify(args) -> int:
                          "residual_max": residual.max_abs_coeff(),
                          "bound": compiled.bound,
                          "reduced_form": compiled.reduced_form}
+    if args.check != "sos":
+        # one spectrum per command: the spectral and classical checks share it
+        if code is not None and compiled is not None:
+            spectral = verify.check_selftest(compiled, code).to_json()
+        else:
+            spectral = _spectrum(poly).to_json()
+            if compiled is not None:
+                delta = abs(spectral["max_eigenvalue"] - compiled.bound)
+                spectral.update(bound=compiled.bound,
+                                passed=delta <= verify.SELFTEST_TOL)
     if args.check in ("spectral", "all"):
-        thetas = _parse_floats(args.sweep) if args.sweep else None
-        if thetas:
-            if code is None:
-                raise UsageError("--sweep needs --code or --code-file")
-            cert = replace(compiled.certificate, alpha0=args.alpha0 or 1.0)
-            rows = verify.tilt_sweep(cert, code, thetas)
-            csv = "theta,max_eig,fidelity\n" + "\n".join(
-                f"{r['theta']:.10g},{r['max_eig']:.10g},{r['fidelity']:.10g}"
-                for r in rows) + "\n"
-            _write_text(csv, args.out)
-            return EXIT_OK
-        if code is not None:
-            checks["spectral"] = verify.check_selftest(compiled,
-                                                       code).to_json()
-        else:
-            spec = _spectrum(poly, bound=compiled.bound)
-            checks["spectral"] = {
-                **spec.to_json(),
-                "passed": abs(spec.max_eigenvalue - compiled.bound) <= 1e-8}
+        checks["spectral"] = spectral
     if args.check in ("classical", "all"):
-        if "spectral" in checks:
-            quantum = checks["spectral"]["max_eigenvalue"]
-        elif code is not None and compiled is not None:
-            quantum = verify.check_selftest(compiled, code).max_eigenvalue
-        else:
-            quantum = _spectrum(poly).max_eigenvalue
         classical = verify.classical_bound(poly)
         checks["classical"] = {
             "classical_bound": classical,
-            "quantum_value": quantum,
-            "passed": classical <= quantum - 0.1,
+            "quantum_value": spectral["max_eigenvalue"],
+            "passed": classical <= spectral["max_eigenvalue"] - 0.1,
         }
 
     passed = all(c.get("passed", False) for c in checks.values())

@@ -70,7 +70,7 @@ class PauliWord:
 
     @classmethod
     def from_factors(cls, n: int, factors: Iterable[tuple[int, str, int]],
-                     q: int = 2, phase: int = 0) -> "PauliWord":
+                     q: int = 2) -> "PauliWord":
         """Build a word from (site, symbol, power) factors, sites 1-indexed.
 
         Same-site factors multiply in the order given, so mixed X/Z factors
@@ -89,8 +89,6 @@ class PauliWord:
             else:
                 raise ValueError(f"unknown symbol {sym!r} (expected 'X' or 'Z')")
             word = word * cls(n, q, tuple(x), tuple(z), 0)
-        if phase:
-            word = PauliWord(n, q, word.x_exp, word.z_exp, word.phase + phase)
         return word
 
     # -- group operations -----------------------------------------------

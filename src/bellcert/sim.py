@@ -139,18 +139,18 @@ def _guide_table(cdf: np.ndarray, buckets: int) -> np.ndarray:
     return np.where(lo == hi, lo, -1)
 
 
-def sample_round(strategy: Strategy, settings: Mapping[int, int],
-                 rng: np.random.Generator | None = None) -> dict[int, int]:
-    """One verifier round: a single Born-rule draw of every site's outcome.
+def sample_round(strategy: Strategy,
+                 settings: Mapping[int, int]) -> dict[int, int]:
+    """One verifier round: a single Born-rule draw of every site's outcome
+    from the strategy's own stream.
 
     Settings must cover every site; outcomes are +-1 per site.
     """
     n = strategy.n
     if set(settings) != set(range(1, n + 1)):
         raise ValueError("settings must cover every site exactly once")
-    rng = rng if rng is not None else strategy._rng
     idx, vals = _born_indices(strategy, [settings[s] for s in range(1, n + 1)],
-                              1, rng)
+                              1, strategy._rng)
     return {s: int(round(vals[s - 1][(idx[0] >> (n - s)) & 1]))
             for s in range(1, n + 1)}
 
@@ -161,6 +161,7 @@ class EstimateReport:
     stderr: float
     shots: int
     per_setting: list[dict] = field(default_factory=list)
+    p: float = 0.0  # depolarizing probability; not part of to_json
 
     def to_json(self) -> dict:
         return {
@@ -169,21 +170,6 @@ class EstimateReport:
             "shots": self.shots,
             "per_setting": self.per_setting,
         }
-
-
-def _check_single_measurement(poly: BellPolynomial) -> list[tuple[Monomial, float]]:
-    terms = []
-    offenders = []
-    for mono, coeff in poly.terms():
-        if any(len(word) > 1 for _, word in mono.factors):
-            offenders.append(str(mono))
-        else:
-            terms.append((mono, coeff))
-    if offenders:
-        raise EstimationError(
-            "sequential monomials unsupported (one observable per site and "
-            "round): " + "; ".join(offenders))
-    return terms
 
 
 def _allocate(weights: Sequence[float], shots: int) -> list[int]:
@@ -245,16 +231,22 @@ def _estimate_rows(strategy: Strategy, poly: BellPolynomial, shots: int,
     for p in noise_grid:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"noise probability {p} outside [0, 1]")
-    terms = _check_single_measurement(poly)
     constant = 0.0
     sampled: list[tuple[Monomial, float]] = []
-    for mono, coeff in terms:
-        if mono.is_identity:
+    offenders = []
+    for mono, coeff in poly.terms():
+        if any(len(word) > 1 for _, word in mono.factors):
+            offenders.append(str(mono))
+        elif mono.is_identity:
             constant += coeff
         else:
             sampled.append((mono, coeff))
+    if offenders:
+        raise EstimationError(
+            "sequential monomials unsupported (one observable per site and "
+            "round): " + "; ".join(offenders))
     if not sampled:
-        return [EstimateReport(constant, 0.0, 0, []) for _ in noise_grid]
+        return [EstimateReport(constant, 0.0, 0, [], p) for p in noise_grid]
     if allocation == "coeff":
         weights = [abs(c) for _, c in sampled]
     elif allocation == "uniform":
@@ -297,9 +289,9 @@ def _estimate_rows(strategy: Strategy, poly: BellPolynomial, shots: int,
                 "mean": mean,
             })
     return [EstimateReport(float(estimate), math.sqrt(variance),
-                           int(sum(alloc)), rows)
-            for estimate, variance, rows in zip(estimates, variances,
-                                                per_setting)]
+                           int(sum(alloc)), rows, p)
+            for estimate, variance, rows, p in zip(estimates, variances,
+                                                   per_setting, noise_grid)]
 
 
 def estimate_bell(strategy: Strategy, poly: BellPolynomial, shots: int,
@@ -315,30 +307,21 @@ def estimate_bell(strategy: Strategy, poly: BellPolynomial, shots: int,
     return _estimate_rows(strategy, poly, shots, allocation, [noise_p])[0]
 
 
-@dataclass
-class SweepPoint:
-    p: float
-    shots: int
-    estimate: float
-    stderr: float
-
-
 def noise_sweep(strategy: Strategy, poly: BellPolynomial,
                 p_grid: Iterable[float], shots: int,
-                allocation: str = "coeff") -> list[SweepPoint]:
-    """Estimate under per-site depolarizing noise for each p in the grid.
+                allocation: str = "coeff") -> list[EstimateReport]:
+    """Estimate under per-site depolarizing noise for each p in the grid,
+    one report per p carrying it as ``p``.
 
     Every row equals estimate_bell at its p with the strategy seed, so the
     p = 0 row coincides with estimate_bell exactly.  Every p is checked
     before anything is drawn.
     """
-    grid = [float(p) for p in p_grid]
-    reports = _estimate_rows(strategy, poly, shots, allocation, grid)
-    return [SweepPoint(p, report.shots, report.estimate, report.stderr)
-            for p, report in zip(grid, reports)]
+    return _estimate_rows(strategy, poly, shots, allocation,
+                          [float(p) for p in p_grid])
 
 
-def sweep_csv(rows: Iterable[SweepPoint]) -> str:
+def sweep_csv(rows: Iterable[EstimateReport]) -> str:
     lines = ["p,shots,estimate,stderr"]
     for row in rows:
         lines.append(f"{row.p:.6g},{row.shots},{row.estimate:.10g},"

@@ -152,27 +152,30 @@ class SpectralReport:
     multiplicity: int
     eigenbasis: np.ndarray  # dim x multiplicity, orthonormal columns
     gap: float              # distance to the next eigenvalue below the cluster
-    bound: float | None = None
 
     def to_json(self) -> dict:
-        doc = {
+        return {
             "max_eigenvalue": self.max_eigenvalue,
             "multiplicity": self.multiplicity,
             "gap": self.gap,
             "dimension": int(self.eigenbasis.shape[0]),
         }
-        if self.bound is not None:
-            doc["bound"] = self.bound
-        return doc
 
 
-def max_eig(h: np.ndarray, bound: float | None = None) -> SpectralReport:
-    """Top eigenvalue and its full eigenspace (cluster tolerance 1e-8)."""
-    if np.abs(h - h.conj().T).max() > 1e-9:
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the Hermitian part of a matrix, or of each matrix in a stack;
+    ValueError if h is more than 1e-9 from Hermitian."""
+    adjoint = h.conj().swapaxes(-1, -2)
+    if np.abs(h - adjoint).max() > 1e-9:
         raise ValueError("matrix is not Hermitian")
-    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+    return np.linalg.eigh((h + adjoint) / 2)
+
+
+def max_eig(h: np.ndarray) -> SpectralReport:
+    """Top eigenvalue and its full eigenspace (cluster tolerance 1e-8)."""
+    vals, vecs = _eigh(h)
     top, mask, gap = _top_cluster(vals)
-    return SpectralReport(top, int(mask.sum()), vecs[:, mask], gap, bound)
+    return SpectralReport(top, int(mask.sum()), vecs[:, mask], gap)
 
 
 def _top_cluster(vals: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -300,11 +303,7 @@ def sector_spectrum(poly: BellPolynomial, asg: MeasurementAssignment,
         product = reduce(mul, (rows[i] for i in range(m + 2) if mix >> i & 1),
                          PauliWord.identity(n))
         weights[mix & (1 << m) - 1, mix >> m] += c * _I_INV_POW[product.phase]
-    blocks = np.tensordot(_walsh(weights), _SIGMA, axes=1)
-    adjoint = blocks.conj().transpose(0, 2, 1)
-    if np.abs(blocks - adjoint).max() > 1e-9:
-        raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigh((blocks + adjoint) / 2)
+    return _eigh(np.tensordot(_walsh(weights), _SIGMA, axes=1))
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +467,9 @@ def tilt_sweep(cert: SOSCertificate, code: StabilizerCode,
     return rows
 
 
-def model_check_deduction(result, code: StabilizerCode,
-                          tol: float = 1e-9) -> float:
-    """Largest violation of any derived fact in the canonical Pauli model.
+def model_check_deduction(result, code: StabilizerCode) -> float:
+    """Largest violation of any derived fact in the canonical Pauli model;
+    AssertionError above 1e-9.
 
     The model takes X_k, Z_k to be genuine Paulis and the state any
     codespace vector; it satisfies every hypothesis for every pair-site
@@ -495,7 +494,7 @@ def model_check_deduction(result, code: StabilizerCode,
         err = float(np.abs(apply_word(zx, basis)
                            - (-1.0)**e * apply_word(xz, basis)).max())
         worst = max(worst, err)
-    if worst > tol:
+    if worst > 1e-9:
         raise AssertionError(f"derived fact fails in the Pauli model: {worst:.3e}")
     return worst
 
@@ -529,8 +528,8 @@ def classical_bound(poly: BellPolynomial) -> float:
 # Pair canonicalization
 # ---------------------------------------------------------------------------
 
-def canonicalize_pair(xop: np.ndarray, zop: np.ndarray,
-                      tol: float = 1e-8) -> tuple[np.ndarray, dict[str, float]]:
+def canonicalize_pair(xop: np.ndarray,
+                      zop: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
     """Unitary U with U X U* ~ X (x) I and U Z U* ~ Z (x) I.
 
     Requires X^2 = Z^2 = I and {X, Z} = 0 (each to 1e-8) on an even
@@ -547,8 +546,8 @@ def canonicalize_pair(xop: np.ndarray, zop: np.ndarray,
         "anticommutator": float(np.abs(xop @ zop + zop @ xop).max()),
     }
     for name, err in pre.items():
-        if err > tol:
-            raise ValueError(f"precondition {name} violated: {err:.3e} > {tol}")
+        if err > 1e-8:
+            raise ValueError(f"precondition {name} violated: {err:.3e} > 1e-08")
     vals, vecs = np.linalg.eigh((zop + zop.conj().T) / 2)
     plus = vecs[:, vals > 0]
     if plus.shape[1] != d // 2:

@@ -32,6 +32,11 @@ class TestCodes:
         out = capsys.readouterr().out.split()
         assert out == ["five_qubit", "steane", "shor", "five_qudit"]
 
+    def test_list_json(self, capsys):
+        assert run(["codes", "list", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "presets": ["five_qubit", "steane", "shor", "five_qudit"]}
+
     def test_show_five_qubit(self, capsys):
         assert run(["codes", "show", "--code", "five_qubit"]) == 0
         out = capsys.readouterr().out
@@ -182,6 +187,11 @@ class TestVerify:
         assert ("error: 4194304 syndrome sectors exceed the sector cap "
                 "2097152" in capsys.readouterr().err)
 
+    def test_bad_alpha_exits_2(self, capsys):
+        assert run(["verify", "all", "--code", "five_qubit",
+                    "--alpha", "1,x"]) == 2
+        assert "bad numeric list '1,x'" in capsys.readouterr().err
+
     def test_poly_file_classical(self, tmp_path, capsys):
         poly = tmp_path / "p.json"
         run(["bell", "build", "--code", "five_qubit", "--out", str(poly)])
@@ -281,8 +291,15 @@ class TestVerify:
         assert seen["steane"] == seen["swapped"]
         assert [rc for rc, _ in seen["steane"]] == [0, 3]
 
-    def test_all_computes_one_spectrum(self, capsys, monkeypatch):
-        from bellcert import verify
+    @pytest.mark.parametrize("argv, sectors, dense", [
+        (["all", "--code", "five_qubit"], 1, 0),
+        (["classical", "--code", "shor"], 1, 0),
+        (["all", "--code", "chsh"], 0, 1),
+    ], ids=["all-five_qubit", "classical-shor", "all-chsh"])
+    def test_all_computes_one_spectrum(self, argv, sectors, dense, capsys,
+                                       monkeypatch):
+        # the spectral and classical checks read one spectrum: the sector
+        # route for a code, the dense matrix for the code-less CHSH fixture
         calls = {"materialize": 0, "sector_spectrum": 0}
 
         def counting(name):
@@ -295,8 +312,8 @@ class TestVerify:
 
         for name in calls:
             monkeypatch.setattr(verify, name, counting(name))
-        assert run(["verify", "all", "--code", "five_qubit"]) == 0
-        assert calls == {"materialize": 0, "sector_spectrum": 1}
+        assert run(["verify"] + argv) == 0
+        assert calls == {"materialize": dense, "sector_spectrum": sectors}
 
     @pytest.mark.parametrize("argv, subs, squares", [
         (["--code", "shor"], 9, 18),
@@ -371,6 +388,11 @@ class TestVerify:
 
 
 class TestSelftest:
+    def test_bad_subset_exits_2(self, capsys):
+        assert run(["selftest", "deduce", "--code", "five_qubit",
+                    "--subset", "1,x"]) == 2
+        assert "bad integer list '1,x'" in capsys.readouterr().err
+
     def test_deduce_exit_codes(self, capsys):
         assert run(["selftest", "deduce", "--code", "steane"]) == 0
         capsys.readouterr()
@@ -438,6 +460,13 @@ class TestSimulate:
         assert lines[0] == "p,shots,estimate,stderr"
         assert len(lines) == 4
 
+    def test_noise_probability_above_one_exits_2(self, capsys):
+        assert run(["simulate", "noise-sweep", "--code", "five_qubit",
+                    "--shots", "1000", "--seed", "7", "--p-grid", "0,1.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "noise probability 1.5 outside [0, 1]" in captured.err
+
     def test_bad_shot_counts_exit_2(self, capsys):
         # the five-qubit inequality samples seven monomials
         base = ["simulate", "estimate", "--code", "five_qubit", "--seed", "1"]
@@ -475,6 +504,27 @@ class TestSimulate:
         from_code = capsys.readouterr().out
         assert run(args + ["--poly-file", str(poly)]) == 0
         assert capsys.readouterr().out == from_code
+
+    def test_poly_file_constant_term_adds_exactly(self, tmp_path, capsys):
+        # a constant term is added, not sampled: same shots, same stderr
+        plain, shifted = tmp_path / "plain.json", tmp_path / "shifted.json"
+        assert run(["bell", "build", "--code", "five_qubit",
+                    "--out", str(plain)]) == 0
+        doc = json.loads(plain.read_text())
+        doc["terms"].append({"coeff": 2.5, "factors": []})
+        shifted.write_text(json.dumps(doc))
+        capsys.readouterr()
+        reports = []
+        for path in (plain, shifted):
+            assert run(["simulate", "estimate", "--code", "five_qubit",
+                        "--shots", "5000", "--seed", "7",
+                        "--poly-file", str(path)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        without, with_constant = reports
+        assert with_constant["estimate"] == pytest.approx(
+            2.5 + without["estimate"], abs=1e-12)
+        assert (with_constant["stderr"], with_constant["shots"]) == (
+            without["stderr"], without["shots"])
 
     def test_poly_file_for_another_code_exits_2(self, tmp_path, capsys):
         p5 = tmp_path / "p5.json"

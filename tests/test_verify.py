@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,31 +288,67 @@ class TestSectorRoute:
                 assert abs(np.vdot(spec.eigenbasis[:, 0], target)) <= 1e-10
             assert not report.passed
 
-    def test_anticommuting_operator_takes_dense_route(self, five_qubit,
-                                                      monkeypatch):
-        # Z_1 anticommutes with S_1 = X Z Z X I, so the polynomial leaves the
-        # normalizer and no sector block exists
-        operators = default_certificate(five_qubit).operators
+    @staticmethod
+    def _dense_only(code, monkeypatch, theta=0.0, alpha0=0.0):
+        """(check_selftest report, dense spectrum) for code's certificate
+        plus Z_1, which anticommutes with S_1 = X Z Z X I, so the
+        polynomial leaves the normalizer and no sector block exists."""
+        operators = default_certificate(code).operators
         cert = SOSCertificate(
-            n=5, theta=0.0, alpha0=0.0, alphas=(1.0,) * 5,
+            n=5, theta=theta, alpha0=alpha0, alphas=(1.0,) * 5,
             operators=operators + (PauliWord.from_factors(5, [(1, "Z", 1)]),),
-            pair_sites=five_qubit.pair_sites, code_name="five_qubit")
-        compiled = build_bell(cert, five_qubit)
+            pair_sites=code.pair_sites, code_name="five_qubit")
+        compiled = build_bell(cert, code)
         real = canonical_realization(compiled.assignment)
         assert sector_spectrum(compiled.poly, compiled.assignment,
-                               five_qubit) is None
+                               code) is None
         calls = []
         monkeypatch.setattr(verify, "materialize",
                             lambda *a: calls.append(1) or materialize(*a))
-        report = check_selftest(compiled, five_qubit)
+        report = check_selftest(compiled, code)
         assert calls == [1]
-        spec = max_eig(materialize(compiled.poly, real))
+        return report, max_eig(materialize(compiled.poly, real))
+
+    def test_anticommuting_operator_takes_dense_route(self, five_qubit,
+                                                      monkeypatch):
+        report, spec = self._dense_only(five_qubit, monkeypatch)
         dist = principal_angle_sin(spec.eigenbasis, codespace_basis(five_qubit))
         assert (report.max_eigenvalue, report.multiplicity, report.gap,
                 report.subspace_distance) == (spec.max_eigenvalue,
                                               spec.multiplicity, spec.gap,
                                               dist)
         assert not report.passed
+
+    def test_dense_route_measures_tilted_fidelity(self, five_qubit,
+                                                  monkeypatch):
+        report, spec = self._dense_only(five_qubit, monkeypatch,
+                                        theta=0.4, alpha0=1.0)
+        v0, v1 = logical_basis(five_qubit)
+        target = math.cos(0.4) * v0 + math.sin(0.4) * v1
+        fid = abs(np.vdot(spec.eigenbasis[:, 0], target))**2
+        assert 0.9 < fid < 1 - 1e-3
+        assert report.fidelity == pytest.approx(fid, abs=1e-12)
+        assert report.multiplicity == spec.multiplicity == 1
+        assert report.subspace_distance is None
+        assert not report.passed
+
+    @pytest.mark.parametrize("variant", [
+        "five_qudit:3", "i_times_s1", "commuting_logicals"])
+    def test_codes_outside_the_sector_form_return_none(self, five_qubit,
+                                                       variant):
+        # a qudit code, a generator that squares to -I, logicals that commute
+        s1 = five_qubit.generators[0]
+        code = {
+            "five_qudit:3": lambda: code_preset("five_qudit:3"),
+            "i_times_s1": lambda: replace(five_qubit, generators=(
+                PauliWord(5, 2, s1.x_exp, s1.z_exp, 1),)
+                + five_qubit.generators[1:]),
+            "commuting_logicals": lambda: replace(
+                five_qubit, logical_x=five_qubit.logical_z),
+        }[variant]()
+        compiled = build_bell(default_certificate(five_qubit), five_qubit)
+        assert sector_spectrum(compiled.poly, compiled.assignment,
+                               code) is None
 
 
 def _brute_classical(poly):
