@@ -3,14 +3,15 @@
 The pipeline: pick a stabilizer code, substitute its site-local X/Z
 symbols with measurement settings (tilted pairs on the designated sites),
 and obtain a Bell polynomial whose quantum bound carries an explicit
-sum-of-squares certificate.  Verification runs three independent routes:
+sum-of-squares certificate.  Verification runs four independent routes:
 exact symbolic identity checking, spectral analysis against the codespace
-(one 2 x 2 block per syndrome sector), and proof search over the on-state
-deduction rules; a finite-shot game simulator estimates the violation from
-sampled rounds.
+(one 2 x 2 block per syndrome sector), proof search over the on-state
+deduction rules, and a finite-shot game simulator that estimates the
+violation from sampled rounds.  Every refused input raises
+``InputError``, a ``ValueError``.
 """
 
-from .pauli import (CodeValidationError, PauliWord, StabilizerCode,
+from .pauli import (CodeValidationError, InputError, PauliWord, StabilizerCode,
                     apply_word, code_preset, comm_exponent, load_code, mul)
 from .poly import BellPolynomial, MeasurementAssignment, Monomial
 from .compile import (CertificateError, CompiledInequality, SOSCertificate,

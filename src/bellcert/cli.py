@@ -1,9 +1,9 @@
 """Command-line pipeline: codes -> bell -> verify -> selftest -> simulate.
 
 Exit codes: 0 success/pass, 1 internal or failed verification, 2 usage
-(including inputs above a size cap), 3 deduction unknown, 4 deduction
-contradiction, 5 capability (polynomial not estimable by single-measurement
-rounds).
+(any refused input, a ``pauli.InputError``, including inputs above a size
+cap), 3 deduction unknown, 4 deduction contradiction, 5 capability
+(polynomial not estimable by single-measurement rounds).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from pathlib import Path
 
 from . import compile as compiler
 from . import engine, sim, verify
-from .pauli import (CodeValidationError, PRESET_NAMES, SizeLimitError,
-                    StabilizerCode, code_preset, load_code, preset_data)
+from .pauli import (PRESET_NAMES, InputError, StabilizerCode, code_preset,
+                    load_code, preset_data)
 from .poly import BellPolynomial, MeasurementAssignment
 
 EXIT_OK = 0
@@ -30,22 +30,13 @@ EXIT_CONTRADICTION = 4
 EXIT_CAPABILITY = 5
 
 
-class UsageError(Exception):
-    pass
-
-
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind: type = float) -> list:
+    """The comma list's values as ``kind`` (float or int); blanks are skipped."""
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise UsageError(f"bad numeric list {text!r}: {exc}") from exc
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad integer list {text!r}: {exc}") from exc
+        what = "integer" if kind is int else "numeric"
+        raise InputError(f"bad {what} list {text!r}: {exc}") from exc
 
 
 def _emit_json(doc, out: str | None) -> None:
@@ -64,7 +55,7 @@ def _load_code_arg(args) -> StabilizerCode:
         return load_code(Path(args.code_file).read_text())
     if args.code:
         return code_preset(args.code)
-    raise UsageError("one of --code or --code-file is required")
+    raise InputError("one of --code or --code-file is required")
 
 
 def _inputs(args):
@@ -79,15 +70,15 @@ def _inputs(args):
         try:
             return code, None, compiler.parse(Path(poly_file).read_text())
         except KeyError as exc:
-            raise UsageError(f"malformed polynomial file: missing {exc}") from exc
+            raise InputError(f"malformed polynomial file: missing {exc}") from exc
         except (TypeError, ValueError, AttributeError) as exc:
-            raise UsageError(f"malformed polynomial file: {exc}") from exc
+            raise InputError(f"malformed polynomial file: {exc}") from exc
     if code is None:
         compiled = compiler.build_bell(compiler.chsh_certificate())
     else:
         cert = compiler.default_certificate(
             code, theta=args.theta, alpha0=args.alpha0,
-            alphas=_parse_floats(args.alpha) if args.alpha else None,
+            alphas=_parse_list(args.alpha) if args.alpha else None,
             mu=args.mu, extras=not args.no_extras)
         compiled = compiler.build_bell(cert, code)
     return code, compiled, compiled.poly
@@ -105,9 +96,9 @@ def _assignment(poly: BellPolynomial,
                                     meta.get("pair_sites", pair_sites),
                                     float(meta.get("mu", math.pi / 4)))
     except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"malformed polynomial meta: {exc}") from exc
+        raise InputError(f"malformed polynomial meta: {exc}") from exc
     if poly.max_site() > asg.n:
-        raise UsageError(f"polynomial touches site {poly.max_site()}, "
+        raise InputError(f"polynomial touches site {poly.max_site()}, "
                          f"beyond n = {asg.n}")
     return asg
 
@@ -160,15 +151,17 @@ def cmd_bell(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.poly_file and args.check != "classical":
-        raise UsageError(f"{args.check} verification needs certificate "
+        raise InputError(f"{args.check} verification needs certificate "
                          "flags, not --poly-file")
-    if args.sweep and args.check != "spectral":
-        raise UsageError(f"--sweep needs the spectral check, not {args.check}")
+    if args.sweep is not None and args.check != "spectral":
+        raise InputError(f"--sweep needs the spectral check, not {args.check}")
     code, compiled, poly = _inputs(args)
-    thetas = _parse_floats(args.sweep) if args.sweep else None
-    if thetas:
+    if args.sweep is not None:
+        thetas = _parse_list(args.sweep)
+        if not thetas:
+            raise InputError(f"--sweep {args.sweep!r} lists no angle")
         if code is None:
-            raise UsageError("--sweep needs --code or --code-file")
+            raise InputError("--sweep needs --code or --code-file")
         cert = replace(compiled.certificate, alpha0=args.alpha0 or 1.0)
         rows = verify.tilt_sweep(cert, code, thetas)
         csv = "theta,max_eig,fidelity\n" + "\n".join(
@@ -211,11 +204,11 @@ def cmd_verify(args) -> int:
 
 def cmd_selftest(args) -> int:
     if args.budget_facts < 1:
-        raise UsageError("--budget-facts must be >= 1")
+        raise InputError("--budget-facts must be >= 1")
     code = _load_code_arg(args)
     budget = engine.Budget(max_facts=args.budget_facts)
     if args.action == "deduce":
-        subset = (frozenset(_parse_ints(args.subset))
+        subset = (frozenset(_parse_list(args.subset, int))
                   if args.subset is not None else None)
         problem = engine.problem_for_code(code, pair_sites=subset,
                                           extras=not args.no_extras)
@@ -250,20 +243,20 @@ def cmd_selftest(args) -> int:
 
 def cmd_simulate(args) -> int:
     if not math.isfinite(args.state_theta):
-        raise UsageError(f"--state-theta {args.state_theta} is not finite")
+        raise InputError(f"--state-theta {args.state_theta} is not finite")
     if args.seed < 0:
-        raise UsageError(f"--seed {args.seed} must be >= 0")
+        raise InputError(f"--seed {args.seed} must be >= 0")
     code, _, poly = _inputs(args)
     if code is None:
-        raise UsageError("simulate needs --code (not chsh) or --code-file")
+        raise InputError("simulate needs --code (not chsh) or --code-file")
     asg = _assignment(poly, code)
     if (asg.n, asg.pair_sites) != (code.n, code.pair_sites):
-        raise UsageError(f"polynomial is for n = {asg.n} sites, pair sites "
+        raise InputError(f"polynomial is for n = {asg.n} sites, pair sites "
                          f"{sorted(asg.pair_sites)}; code {code.name} has "
                          f"n = {code.n}, pair sites {sorted(code.pair_sites)}")
     needed = max(1, sum(not mono.is_identity for mono, _ in poly.terms()))
     if args.shots < needed:
-        raise UsageError(f"--shots {args.shots} below {needed}: every sampled "
+        raise InputError(f"--shots {args.shots} below {needed}: every sampled "
                          "monomial needs at least one shot")
     strategy = sim.Strategy.from_code(code, theta=args.state_theta, asg=asg,
                                       seed=args.seed)
@@ -272,10 +265,9 @@ def cmd_simulate(args) -> int:
                                    allocation=args.allocation)
         _emit_json(report.to_json(), args.out)
         return EXIT_OK
-    grid = _parse_floats(args.p_grid)
-    for p in grid:
-        if not 0.0 <= p <= 1.0:
-            raise UsageError(f"noise probability {p} outside [0, 1]")
+    grid = _parse_list(args.p_grid)
+    if not grid:
+        raise InputError(f"--p-grid {args.p_grid!r} lists no probability")
     rows = sim.noise_sweep(strategy, poly, grid, args.shots,
                            allocation=args.allocation)
     _write_text(sim.sweep_csv(rows), args.out)
@@ -366,13 +358,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, KeyError, CodeValidationError, SizeLimitError,
-            compiler.CertificateError, engine.ProblemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except sim.EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -17,13 +17,13 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .pauli import PauliWord, StabilizerCode, preset_data
+from .pauli import InputError, PauliWord, StabilizerCode, preset_data
 from .poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
 
 SOS_TOL = 1e-10
 
 
-class CertificateError(ValueError):
+class CertificateError(InputError):
     """Raised for invalid certificate parameters."""
 
 
@@ -343,5 +343,7 @@ def parse(document: str | dict) -> BellPolynomial:
                 raise ValueError(f"site {site} appears twice in one term")
             site_words[site] = letters
         mono = Monomial.from_dict(site_words)
-        coeffs[mono] = coeffs.get(mono, 0.0) + float(term["coeff"])
+        coeffs[mono] = coeff = coeffs.get(mono, 0.0) + float(term["coeff"])
+        if not math.isfinite(coeff):
+            raise ValueError(f"coefficient {coeff} of {mono} is not finite")
     return BellPolynomial(coeffs, meta=document.get("meta"))

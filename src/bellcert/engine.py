@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .pauli import StabilizerCode, preset_data
+from .pauli import InputError, StabilizerCode, preset_data
 
 PROVED = "proved"
 CONTRADICTION = "contradiction"
@@ -36,7 +36,7 @@ SiteRuns = tuple[tuple[str, int], ...]
 Word = tuple[tuple[int, SiteRuns], ...]
 
 
-class ProblemError(ValueError):
+class ProblemError(InputError):
     """Raised for malformed deduction problems."""
 
 

@@ -28,11 +28,15 @@ MAX_DENSE_DIM = 2**14
 MAX_MATRIX_DIM = 2**12
 
 
-class CodeValidationError(ValueError):
+class InputError(ValueError):
+    """An input refused before any work; the CLI reports it as usage."""
+
+
+class CodeValidationError(InputError):
     """Raised when a stabilizer code document violates an invariant."""
 
 
-class SizeLimitError(ValueError):
+class SizeLimitError(InputError):
     """Raised, before any large allocation, when an input exceeds a size cap."""
 
 
@@ -354,6 +358,9 @@ def validate_code(code: StabilizerCode) -> StabilizerCode:
             raise CodeValidationError(
                 f"generator S_{i + 1} does not satisfy S^q = I exactly "
                 "(no +1 eigenspace)")
+    for w, label in ((code.logical_x, "logical_x"), (code.logical_z, "logical_z")):
+        if not w.power(q).is_identity:
+            raise CodeValidationError(f"{label} does not satisfy L^q = I exactly")
     rank = symplectic_rank(code.generators, q)
     if rank != m:
         raise CodeValidationError(f"generators dependent: rank {rank} < {m}")
@@ -435,7 +442,7 @@ def code_preset(name: str, q: int | None = None) -> StabilizerCode:
     """
     base, colon, qstr = name.partition(":")
     if base not in _PRESETS:
-        raise KeyError(
+        raise CodeValidationError(
             f"unknown code preset {name!r}; known: {', '.join(PRESET_NAMES)}")
     gens, pair_sites, _ = _PRESETS[base]
     if colon:

@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .pauli import SizeLimitError, StabilizerCode
+from .pauli import InputError, SizeLimitError, StabilizerCode
 from .poly import BellPolynomial, MeasurementAssignment, Monomial
 from .verify import Realization, canonical_realization, logical_basis
 
@@ -63,13 +63,13 @@ class Strategy:
         self.state = np.asarray(self.state, dtype=complex).reshape(-1)
         n = self.realization.n
         if self.state.shape[0] != 2**n:
-            raise ValueError(f"state dimension {self.state.shape[0]} != 2^{n}")
+            raise InputError(f"state dimension {self.state.shape[0]} != 2^{n}")
         for site in range(1, n + 1):
             if self.realization.dim(site) != 2:
-                raise ValueError("sampling requires dimension-2 sites")
+                raise InputError("sampling requires dimension-2 sites")
         norm = np.linalg.norm(self.state)
         if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
-            raise ValueError(f"state norm {norm} != 1")
+            raise InputError(f"state norm {norm} != 1")
         self._rng = np.random.default_rng(self.seed)
         # per site and setting: (ascending eigenvalues, eigenvector columns)
         self._eigs = [[np.linalg.eigh(self.realization.obs(site, setting))
@@ -148,7 +148,7 @@ def sample_round(strategy: Strategy,
     """
     n = strategy.n
     if set(settings) != set(range(1, n + 1)):
-        raise ValueError("settings must cover every site exactly once")
+        raise InputError("settings must cover every site exactly once")
     idx, vals = _born_indices(strategy, [settings[s] for s in range(1, n + 1)],
                               1, strategy._rng)
     return {s: int(round(vals[s - 1][(idx[0] >> (n - s)) & 1]))
@@ -175,7 +175,7 @@ class EstimateReport:
 def _allocate(weights: Sequence[float], shots: int) -> list[int]:
     """Split exactly `shots` proportionally to `weights`, at least one each."""
     if shots < len(weights):
-        raise ValueError(f"shots {shots} below the {len(weights)} sampled "
+        raise InputError(f"shots {shots} below the {len(weights)} sampled "
                          "monomials (each needs at least one)")
     total = sum(weights)
     raw = [shots * w / total for w in weights]
@@ -224,13 +224,13 @@ def _estimate_rows(strategy: Strategy, poly: BellPolynomial, shots: int,
     monomial's stream to just after that draw before its flip draws, so
     every row consumes the stream as a lone estimate does.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if shots > MAX_SHOTS:
-        raise SizeLimitError(f"shots {shots} exceed the cap {MAX_SHOTS}")
     for p in noise_grid:
         if not 0.0 <= p <= 1.0:
-            raise ValueError(f"noise probability {p} outside [0, 1]")
+            raise InputError(f"noise probability {p} outside [0, 1]")
+    if shots < 1:
+        raise InputError("shots must be >= 1")
+    if shots > MAX_SHOTS:
+        raise SizeLimitError(f"shots {shots} exceed the cap {MAX_SHOTS}")
     constant = 0.0
     sampled: list[tuple[Monomial, float]] = []
     offenders = []
@@ -252,7 +252,7 @@ def _estimate_rows(strategy: Strategy, poly: BellPolynomial, shots: int,
     elif allocation == "uniform":
         weights = [1.0] * len(sampled)
     else:
-        raise ValueError(f"unknown allocation {allocation!r}")
+        raise InputError(f"unknown allocation {allocation!r}")
     alloc = _allocate(weights, shots)
     seeds = np.random.SeedSequence(strategy.seed).spawn(len(sampled))
     n = strategy.n

@@ -23,8 +23,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import (MAX_MATRIX_DIM, PauliWord, SizeLimitError, StabilizerCode,
-                    apply_word, code_preset, codespace_basis, mul)
+from .pauli import (MAX_MATRIX_DIM, InputError, PauliWord, SizeLimitError,
+                    StabilizerCode, apply_word, code_preset, codespace_basis, mul)
 from .poly import COEFF_TOL, BellPolynomial, MeasurementAssignment
 from .compile import CompiledInequality, SOSCertificate, build_bell
 
@@ -45,7 +45,7 @@ _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SIGMA = np.array([np.eye(2), _X, _Z, _X @ _Z], dtype=complex)
 
 
-class RealizationError(ValueError):
+class RealizationError(InputError):
     """Raised for observables that are not +-1-valued Hermitian operators."""
 
 
@@ -315,12 +315,10 @@ def qudit_codespace(q: int) -> np.ndarray:
 
     The five_qudit preset through ``codespace_basis``: seeded probes passed
     through the stabilizer product projector, so the q=5 case never needs a
-    3125x3125 eigendecomposition.
+    3125x3125 eigendecomposition.  Composite q is refused by the preset, and
+    every prime q >= 7 by the dense cap (7^5 > 2^14).
     """
-    code = code_preset("five_qudit", q=q)  # rejects composite q
-    if q > 5:
-        raise ValueError("qudit codespace supported for prime q <= 5")
-    return codespace_basis(code)
+    return codespace_basis(code_preset("five_qudit", q=q))
 
 
 def principal_angle_sin(basis_a: np.ndarray, basis_b: np.ndarray) -> float:

@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
 import time
@@ -6,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bellcert import compile as compiler, sim, verify
+from bellcert import compile as compiler, engine, sim, verify
 from bellcert.cli import main
-from bellcert.pauli import code_preset, load_code
+from bellcert.pauli import (CodeValidationError, InputError, SizeLimitError,
+                            code_preset, load_code)
 from bellcert.poly import A0, BellPolynomial, Monomial
 from bellcert.sim import MAX_SHOTS
 
@@ -44,6 +49,9 @@ class TestCodes:
 
     def test_unknown_code_exits_2(self, capsys):
         assert run(["codes", "show", "--code", "bogus"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown code preset 'bogus'; "
+            "known: five_qubit, steane, shor, five_qudit\n")
 
     @pytest.mark.parametrize("name, message", [
         ("five_qudit:abc", "'abc' in 'five_qudit:abc' is not an integer"),
@@ -93,6 +101,22 @@ class TestCodes:
         assert run(argv) == 2
         assert time.perf_counter() - start < 1.0
         assert "exceeds dense cap 16384" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["codes", "show"], ["simulate", "estimate", "--seed", "1"],
+], ids=["show", "simulate"])
+@pytest.mark.parametrize("logical, phase", [
+    ("logical_z", 1), ("logical_z", 3), ("logical_x", 1)])
+def test_non_involutive_logical_exits_2(argv, logical, phase, tmp_path, capsys):
+    doc = copy.deepcopy(FIVE_QUBIT_DOC)
+    doc[logical]["phase"] = phase  # i Zbar squares to -I: not a +-1 logical
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    assert run(argv + ["--code-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {logical} does not satisfy L^q = I exactly\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -224,9 +248,12 @@ class TestVerify:
         lambda doc: doc["terms"][0]["factors"].append(
             dict(doc["terms"][0]["factors"][0], word=["A1"])),
         lambda doc: doc["terms"][0]["factors"][0].update(site=1.7),
+        lambda doc: doc["terms"][0].update(coeff=math.nan),
+        lambda doc: doc["terms"][1].update(coeff=math.inf),
     ], ids=["mu-str", "n-str", "n-inf", "n-float", "mu-range", "pair_sites-int",
             "pair_sites-range", "pair_sites-float", "n-below-sites", "letter", "no-coeff",
-            "terms-int", "meta-int", "site-repeated", "site-float"])
+            "terms-int", "meta-int", "site-repeated", "site-float", "coeff-nan",
+            "coeff-inf"])
     def test_malformed_poly_file_exits_2(self, mutate, tmp_path, capsys):
         path = tmp_path / "p.json"
         assert run(["bell", "build", "--code", "chsh", "--out", str(path)]) == 0
@@ -368,6 +395,19 @@ class TestVerify:
                         "--sweep", "0.3"]) == 2, check
             assert "--sweep needs the spectral check" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("check, sweep, message", [
+        ("spectral", ",", "--sweep ',' lists no angle"),
+        ("spectral", "", "--sweep '' lists no angle"),
+        ("spectral", " , ", "--sweep ' , ' lists no angle"),
+        ("all", "", "--sweep needs the spectral check, not all"),
+        ("classical", ",", "--sweep needs the spectral check, not classical"),
+    ])
+    def test_empty_sweep_exits_2(self, check, sweep, message, capsys):
+        assert run(["verify", check, "--code", "steane", "--sweep", sweep]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_tilt_sweep_csv(self, capsys):
         assert run(["verify", "spectral", "--code", "five_qubit",
                     "--alpha0", "1", "--sweep",
@@ -466,6 +506,14 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "noise probability 1.5 outside [0, 1]" in captured.err
+
+    @pytest.mark.parametrize("grid", [",", "", " ,, "])
+    def test_empty_noise_grid_exits_2(self, grid, capsys):
+        assert run(["simulate", "noise-sweep", "--code", "five_qubit",
+                    "--shots", "1000", "--seed", "7", "--p-grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --p-grid {grid!r} lists no probability\n"
 
     def test_bad_shot_counts_exit_2(self, capsys):
         # the five-qubit inequality samples seven monomials
@@ -604,3 +652,76 @@ class TestSimulate:
             code = run(argv)
             digest.update(repr((argv, code, capsys.readouterr().out)).encode())
         assert digest.hexdigest() == GOLDEN_SIMULATE_DIGEST
+
+
+class TestRefusalFamily:
+    def test_refusal_classes_are_input_errors(self):
+        for cls in (CodeValidationError, SizeLimitError,
+                    compiler.CertificateError, engine.ProblemError,
+                    verify.RealizationError):
+            assert issubclass(cls, InputError), cls
+        assert issubclass(InputError, ValueError)
+        assert not issubclass(sim.EstimationError, InputError)
+
+    def test_internal_key_error_is_not_usage(self, monkeypatch):
+        def broken(problem, budget):
+            raise KeyError("internal")
+        monkeypatch.setattr(engine, "deduce", broken)
+        with pytest.raises(KeyError):
+            run(["selftest", "deduce", "--code", "shor"])
+
+
+_MUTABLE_DOCS = {name: code_preset(name).to_json()
+                 for name in ("five_qubit", "steane")}
+
+
+@st.composite
+def _mutated_code_documents(draw):
+    """A five_qubit or steane document with one field changed."""
+    doc = copy.deepcopy(_MUTABLE_DOCS[draw(st.sampled_from(sorted(_MUTABLE_DOCS)))])
+    words = doc["generators"] + [doc["logical_x"], doc["logical_z"]]
+    kind = draw(st.sampled_from(["exponent", "phase", "pair_sites", "k", "q",
+                                 "n", "drop", "repeat", "swap"]))
+    if kind == "exponent":
+        word = draw(st.sampled_from(words))
+        exps = word[draw(st.sampled_from("xz"))]
+        site = draw(st.integers(0, doc["n"] - 1))
+        exps[site] ^= 1
+    elif kind == "phase":
+        draw(st.sampled_from(words))["phase"] = draw(st.integers(1, 3))
+    elif kind == "pair_sites":
+        doc["pair_sites"] = draw(st.lists(st.integers(0, doc["n"] + 1),
+                                          max_size=3))
+    elif kind in ("k", "q", "n"):
+        doc[kind] = draw(st.integers(0, 8))
+    elif kind in ("drop", "repeat"):
+        i = draw(st.integers(0, len(doc["generators"]) - 1))
+        gen = doc["generators"].pop(i)
+        if kind == "repeat":
+            doc["generators"] += [gen, gen]
+    else:
+        doc["logical_x"], doc["logical_z"] = doc["logical_z"], doc["logical_x"]
+    return doc
+
+
+def _with_logical_z_phase(phase):
+    doc = copy.deepcopy(FIVE_QUBIT_DOC)
+    doc["logical_z"]["phase"] = phase
+    return doc
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(doc=_mutated_code_documents())
+@example(doc=_with_logical_z_phase(1))
+def test_mutated_code_document_exits_by_family(doc, tmp_path_factory):
+    path = tmp_path_factory.mktemp("doc") / "code.json"
+    path.write_text(json.dumps(doc))
+    allowed = [(["codes", "show"], {0, 2}),
+               (["simulate", "estimate", "--shots", "2000", "--seed", "1"],
+                {0, 2, 5}),
+               (["selftest", "deduce"], {0, 2, 3, 4})]
+    for argv, codes in allowed:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv + ["--code-file", str(path)])
+        assert code in codes, (argv, doc)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from bellcert import sim
 from bellcert.compile import build_bell, chsh_polynomial, default_certificate
 from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
-from bellcert.pauli import SizeLimitError
+from bellcert.pauli import InputError, SizeLimitError
 from bellcert.sim import (MAX_SHOTS, EstimationError, Strategy, _allocate,
                           _guide_draw, _guide_table, estimate_bell,
                           noise_sweep, sample_round)
@@ -273,6 +273,23 @@ class TestNoise:
         strat = Strategy.from_code(five_qubit, seed=1)
         with pytest.raises(ValueError):
             noise_sweep(strat, compiled.poly, [1.5], 100)
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: estimate_bell(bell_pair_strategy(), chsh_polynomial(), 0),
+    lambda: estimate_bell(bell_pair_strategy(), chsh_polynomial(), 3),
+    lambda: estimate_bell(bell_pair_strategy(), chsh_polynomial(), 100,
+                          noise_p=-0.1),
+    lambda: estimate_bell(bell_pair_strategy(), chsh_polynomial(), 100,
+                          allocation="bogus"),
+    lambda: sample_round(bell_pair_strategy(), {1: 0}),
+    lambda: Strategy(np.array([1.0, 1.0, 0, 0]), direct_realization(2)),
+    lambda: Strategy(np.array([1.0, 0, 0, 0]), direct_realization(3)),
+], ids=["shots-zero", "shots-below-monomials", "noise-negative", "allocation",
+        "settings", "norm", "dimension"])
+def test_refusals_are_input_errors(refused):
+    with pytest.raises(InputError):
+        refused()
 
 
 class TestStrategy:

@@ -150,6 +150,11 @@ class TestCodespace:
         with pytest.raises(Exception):
             qudit_codespace(4)
 
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_qudit_codespace_above_dense_cap_refused(self, q):
+        with pytest.raises(SizeLimitError, match="exceeds dense cap 16384"):
+            qudit_codespace(q)
+
     def test_qudit_q2_matches_five_qubit(self, five_qubit):
         b2 = qudit_codespace(2)
         assert principal_angle_sin(b2, codespace_basis(five_qubit)) <= 1e-9
