@@ -22,7 +22,7 @@ from .verify import (Realization, SelftestReport, SpectralReport,
                      canonical_realization, canonicalize_pair, check_selftest,
                      classical_bound, codespace_basis, logical_basis,
                      materialize, max_eig, principal_angle_sin,
-                     qudit_codespace, random_realization, tilt_sweep)
+                     qudit_codespace, tilt_sweep)
 from .engine import (Budget, DeduceResult, Problem, deduce, problem_for_code,
                      search_subsets, transcript_render)
 from .sim import (EstimateReport, EstimationError, Strategy, estimate_bell,

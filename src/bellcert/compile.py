@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .pauli import InputError, PauliWord, StabilizerCode, preset_data
-from .poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
+from .poly import (A0, A1, COEFF_TOL, BellPolynomial, MeasurementAssignment,
+                   Monomial)
 
 SOS_TOL = 1e-10
 
@@ -101,32 +102,30 @@ def default_certificate(code: StabilizerCode, theta: float = 0.0,
 
 def substitute(word: PauliWord, asg: MeasurementAssignment) -> BellPolynomial:
     """Expand a phase-free qubit word, X before Z at each site, into a
-    polynomial in the settings."""
+    polynomial in the settings, pruning after each factor."""
     if word.q != 2:
         raise ValueError("only q=2 words translate to measurement settings")
     if word.phase != 0:
         raise CertificateError("operator words must be phase-free")
-    out = BellPolynomial.constant(1.0)
+    coeffs = {Monomial.identity(): 1.0}
     for site, sym, _ in word.factors():
         if site > asg.n:
             raise ValueError(f"site {site} out of range 1..{asg.n}")
         if site not in asg.pair_sites:
-            letter = A0 if sym == "X" else A1
-            factor = BellPolynomial.monomial(Monomial.single(site, letter))
+            factor = ((Monomial.single(site, A0 if sym == "X" else A1), 1.0),)
         elif sym == "X":
             c = 1.0 / (2.0 * math.cos(asg.mu))
-            factor = BellPolynomial({
-                Monomial.single(site, A0): c,
-                Monomial.single(site, A1): c,
-            })
+            factor = ((Monomial.single(site, A0), c), (Monomial.single(site, A1), c))
         else:
             c = 1.0 / (2.0 * math.sin(asg.mu))
-            factor = BellPolynomial({
-                Monomial.single(site, A0): c,
-                Monomial.single(site, A1): -c,
-            })
-        out = out * factor
-    return out
+            factor = ((Monomial.single(site, A0), c), (Monomial.single(site, A1), -c))
+        acc: dict[Monomial, float] = {}
+        for m1, c1 in coeffs.items():
+            for m2, c2 in factor:
+                mono = m1 * m2
+                acc[mono] = acc.get(mono, 0.0) + c1 * c2
+        coeffs = {m: c for m, c in acc.items() if abs(c) > COEFF_TOL}
+    return BellPolynomial(coeffs)
 
 
 def build_tilted(theta: float, code: StabilizerCode,

@@ -10,7 +10,21 @@ letter and its length.  Multiplying two of them at one site therefore has a
 closed form: when the last letter of the left word equals the first letter
 of the right word, min(len1, len2) letters cancel pairwise and the rest of
 the longer word survives; otherwise the words simply concatenate.  A
-product is one merge of the two site-sorted factor tuples.
+monomial product is one merge of the two site-sorted factor tuples.
+
+A polynomial product codes the same rule.  Each operand's monomials are
+packed once into integers with one byte per site that either operand
+touches, in site order, each byte holding the site code 2 * len + first
+letter (0 for the empty word).  Codes of words up to 7 letters fit in four
+bits, so ``a << 4 | b`` puts both codes of every site into one byte, and
+``_PAIR_TABLE`` translates each such byte into the code of the reduced
+product word: one ``to_bytes`` and one ``bytes.translate`` give a pair's
+product key.  Coefficients are summed per key in the same left-major pair
+order, with the same running sum, as a loop over ``Monomial.__mul__``
+would sum them per monomial, and codes map one-to-one to words, so every
+coefficient and the term order are bit-identical to that loop.  Only the
+keys that survive pruning become ``Monomial``s.  An operand holding a
+longer word is multiplied by that loop instead.
 
 ``Monomial(factors)`` takes canonical factors only: (site, word) pairs with
 integer sites >= 1 in strictly increasing order, each word a nonempty
@@ -181,6 +195,42 @@ _set_factors = Monomial.factors.__set__
 _set_hash = Monomial._hash.__set__
 
 
+# Site codes (module docstring): a word of at most _CODED_LETTERS letters
+# codes below 16, and a product of two such words below 32.
+_CODED_LETTERS = 7
+
+
+def _code_word(code: int) -> tuple[int, ...]:
+    """The reduced word with site code ``code``; codes 0 and 1 are empty."""
+    return tuple((code + i) & 1 for i in range(code >> 1))
+
+
+_WORDS = tuple(_code_word(code) for code in range(32))
+
+
+def _pair_code(pair: int) -> int:
+    word = _reduce_word(_WORDS[pair >> 4] + _WORDS[pair & 15])
+    return 2 * len(word) + word[0] if word else 0
+
+
+_PAIR_TABLE = bytes(_pair_code(pair) for pair in range(256))
+
+
+def _encode(coeffs: Mapping[Monomial, float], shifts: Mapping[int, int]
+            ) -> list[tuple[int, float]] | None:
+    """(packed site codes, coefficient) per monomial, site s at bit
+    shifts[s], or None when some word is longer than _CODED_LETTERS."""
+    packed = []
+    for mono, c in coeffs.items():
+        code = 0
+        for site, word in mono.factors:
+            if len(word) > _CODED_LETTERS:
+                return None
+            code |= (2 * len(word) + word[0]) << shifts[site]
+        packed.append((code, c))
+    return packed
+
+
 class BellPolynomial:
     """Real linear combination of monomials with structural tolerance 1e-12."""
 
@@ -235,14 +285,34 @@ class BellPolynomial:
 
     def __mul__(self, other: "BellPolynomial") -> "BellPolynomial":
         out = BellPolynomial()
-        acc = out.coeffs
+        sites = sorted({site for poly in (self, other) for mono in poly.coeffs
+                        for site, _ in mono.factors})
+        shifts = {site: 8 * i for i, site in enumerate(sites)}
+        left = _encode(self.coeffs, shifts)
+        right = left if other is self else _encode(other.coeffs, shifts)
+        if left is None or right is None:
+            acc = out.coeffs
+            get = acc.get
+            for m1, c1 in self.coeffs.items():
+                for m2, c2 in other.coeffs.items():
+                    mono = m1 * m2
+                    acc[mono] = get(mono, 0.0) + c1 * c2
+            out._prune()
+            return out
+        width = len(sites)
+        acc = {}
         get = acc.get
-        right = other.coeffs.items()
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in right:
-                mono = m1 * m2
-                acc[mono] = get(mono, 0.0) + c1 * c2
-        out._prune()
+        for a, c1 in left:
+            a <<= 4
+            for b, c2 in right:
+                key = (a | b).to_bytes(width, "little").translate(_PAIR_TABLE)
+                acc[key] = get(key, 0.0) + c1 * c2
+        for key, c in acc.items():
+            if abs(c) <= COEFF_TOL:
+                continue
+            factors = tuple((sites[i], _WORDS[code])
+                            for i, code in enumerate(key) if code)
+            out.coeffs[Monomial._trusted(factors)] = c
         return out
 
     def square(self) -> "BellPolynomial":

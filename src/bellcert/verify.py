@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -99,24 +99,6 @@ def canonical_realization(asg: MeasurementAssignment) -> Realization:
         tuple(sum(c * _SIGMA[x | z << 1] for x, z, c in terms)
               for terms in _setting_paulis(asg, site))
         for site in range(1, asg.n + 1)))
-
-
-def random_realization(n: int, rng: np.random.Generator,
-                       dims: Sequence[int] = (2, 4)) -> Realization:
-    """Random +-1-valued observables, for realization-soundness checks."""
-    pairs = []
-    for _ in range(n):
-        d = int(rng.choice(list(dims)))
-        site_pair = []
-        for _ in range(2):
-            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            v, _r = np.linalg.qr(g)
-            signs = rng.choice([-1.0, 1.0], size=d)
-            obs = (v * signs) @ v.conj().T
-            obs = (obs + obs.conj().T) / 2
-            site_pair.append(obs)
-        pairs.append(tuple(site_pair))
-    return Realization(tuple(pairs))
 
 
 def materialize(poly: BellPolynomial, real: Realization) -> np.ndarray:
@@ -341,7 +323,7 @@ def logical_basis(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
     real and positive.
     """
     if code.k != 1:
-        raise ValueError("logical basis defined for k=1 codes")
+        raise InputError(f"logical basis defined for k=1 codes, not k={code.k}")
     basis = codespace_basis(code)
     zs = basis.conj().T @ apply_word(code.logical_z, basis)
     vals, vecs = np.linalg.eigh((zs + zs.conj().T) / 2)

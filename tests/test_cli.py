@@ -20,6 +20,7 @@ from bellcert.sim import MAX_SHOTS
 
 FIVE_QUBIT_DOC = code_preset("five_qubit").to_json()
 QRM15 = Path(__file__).parent / "fixtures" / "qrm15.json"
+CODE422 = Path(__file__).parent / "fixtures" / "code422.json"
 
 # SHA-256 of TestSimulate.test_golden_simulate_digest's runs (argv, exit code,
 # stdout), as the sampler drawing through Generator.choice produced them.
@@ -130,6 +131,20 @@ def test_signed_generator_exits_2(argv, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(argv + ["--code-file", str(path)]) == 2
     assert capsys.readouterr().err == "error: operator words must be phase-free\n"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["verify", "all", "--theta", "0.3", "--alpha0", "1"], 2),
+    (["simulate", "estimate", "--seed", "1"], 2),
+    (["verify", "all"], 0),
+], ids=["tilted-verify", "simulate", "untilted-verify"])
+def test_k2_code_refuses_logical_basis(argv, want, capsys):
+    # [[4,2,2]]: the codespace certificate holds, a tilted codeword needs k = 1
+    assert run(argv + ["--code-file", str(CODE422)]) == want
+    captured = capsys.readouterr()
+    if want == 2:
+        assert captured.out == ""
+        assert captured.err == "error: logical basis defined for k=1 codes, not k=2\n"
 
 
 class TestBell:

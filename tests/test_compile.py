@@ -13,7 +13,9 @@ from bellcert.compile import (CertificateError, SOSCertificate, build_bell,
                               verify_sos)
 from bellcert.pauli import PauliWord, code_preset, load_code
 from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
-from bellcert.verify import materialize, random_realization
+from bellcert.verify import materialize
+
+from realizations import random_realization
 
 SQRT2 = math.sqrt(2)
 
@@ -64,6 +66,45 @@ class TestSubstitute:
     def test_out_of_range_site(self):
         with pytest.raises(ValueError):
             substitute(word(3, (3, "X")), asg_for(2, set()))
+
+
+def _chained_substitute(pauli_word, asg):
+    """substitute as the chained product of one- and two-term factor
+    polynomials, each product a loop over Monomial.__mul__ pruned after
+    every factor."""
+    out = {Monomial.identity(): 1.0}
+    for site, sym, _ in pauli_word.factors():
+        if site not in asg.pair_sites:
+            factor = {Monomial.single(site, A0 if sym == "X" else A1): 1.0}
+        elif sym == "X":
+            c = 1.0 / (2.0 * math.cos(asg.mu))
+            factor = {Monomial.single(site, A0): c, Monomial.single(site, A1): c}
+        else:
+            c = 1.0 / (2.0 * math.sin(asg.mu))
+            factor = {Monomial.single(site, A0): c, Monomial.single(site, A1): -c}
+        acc = {}
+        for m1, c1 in out.items():
+            for m2, c2 in factor.items():
+                mono = m1 * m2
+                acc[mono] = acc.get(mono, 0.0) + c1 * c2
+        out = {m: c for m, c in acc.items() if abs(c) > 1e-12}
+    return out
+
+
+@pytest.mark.parametrize("mu", [math.pi / 4, 0.7])
+@pytest.mark.parametrize("name", ["five_qubit", "steane", "shor"])
+def test_substitute_matches_chained_product(name, mu):
+    code = code_preset(name)
+    n = code.n
+    words = [*code.generators, code.logical_x, code.logical_z,
+             word(n, (1, "X"), (1, "Z")),
+             word(n, (1, "X"), (2, "Z"), (n, "X"), (n, "Z"))]
+    for pairs in (code.pair_sites, {1}, set(), set(range(1, n + 1))):
+        asg = asg_for(n, pairs, mu)
+        for pauli_word in words:
+            out = substitute(pauli_word, asg)
+            reference = _chained_substitute(pauli_word, asg)
+            assert list(out.coeffs.items()) == list(reference.items())
 
 
 class TestBuildTilted:

@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bellcert.poly import (A0, A1, BellPolynomial, MeasurementAssignment,
-                           Monomial)
+from bellcert.poly import (A0, A1, COEFF_TOL, BellPolynomial,
+                           MeasurementAssignment, Monomial)
 
 
 def test_site_word_reduction():
@@ -116,6 +116,58 @@ def test_polynomial_product_distributes():
     assert sq.coeff(Monomial.identity()) == pytest.approx(13.0)
     assert sq.coeff(m1 * m2) == pytest.approx(12.0)
     assert len(sq) == 2
+
+
+def _nested_product(p, q):
+    """p * q as one loop over Monomial.__mul__, summed per monomial in
+    left-major pair order and pruned at the end."""
+    acc = {}
+    for m1, c1 in p.coeffs.items():
+        for m2, c2 in q.coeffs.items():
+            mono = m1 * m2
+            acc[mono] = acc.get(mono, 0.0) + c1 * c2
+    return {m: c for m, c in acc.items() if abs(c) > COEFF_TOL}
+
+
+@st.composite
+def _polynomials(draw):
+    """A sum of drawn terms over sites 1, 2, 3 and 9 (repeats summed, so
+    some cancel); in about half the draws words run to 9 letters, past
+    the 7 the coded product takes."""
+    max_letters = draw(st.sampled_from((7, 9)))
+    monomials = st.dictionaries(
+        st.sampled_from((1, 2, 3, 9)),
+        st.builds(_alternating, st.sampled_from((A0, A1)),
+                  st.integers(0, max_letters)),
+        max_size=3).map(Monomial.from_dict)
+    coeffs = st.sampled_from((1.0, -1.0, 0.5, -0.5, 1 / math.sqrt(2), 1e-13)) \
+        | st.floats(-4.0, 4.0, allow_nan=False)
+    poly = BellPolynomial()
+    for mono, c in draw(st.lists(st.tuples(monomials, coeffs), max_size=8)):
+        poly = poly + BellPolynomial.monomial(mono, c)
+    return poly
+
+
+_SINGLE_A0 = Monomial.single(1, A0)
+_SINGLE_A1 = Monomial.single(1, A1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_polynomials(), _polynomials())
+@example(BellPolynomial(), BellPolynomial.constant(2.0))
+@example(BellPolynomial.constant(1.0), BellPolynomial.constant(1.0))
+@example(BellPolynomial({_SINGLE_A0: 0.5, _SINGLE_A1: 0.5}),
+         BellPolynomial({_SINGLE_A0: 0.5, _SINGLE_A1: -0.5}))
+@example(BellPolynomial({Monomial.from_dict({1: _alternating(A0, 9)}): 1.0,
+                         _SINGLE_A1: 1.0}),
+         BellPolynomial({Monomial.from_dict({1: _alternating(A1, 7)}): 2.0}))
+@example(BellPolynomial({Monomial.single(10**9, A0): 1.0, _SINGLE_A1: -1.0}),
+         BellPolynomial({Monomial.single(10**9, A1): 1.0, _SINGLE_A1: 1.0}))
+def test_polynomial_product_matches_nested_loop(p, q):
+    for left, right in ((p, q), (p, p), (q, p)):
+        out, reference = left * right, _nested_product(left, right)
+        assert list(out.coeffs) == list(reference)
+        assert list(out.coeffs.values()) == list(reference.values())
 
 
 def test_terms_order_deterministic():

@@ -18,7 +18,9 @@ from bellcert.verify import (Realization, canonical_realization,
                              check_selftest, classical_bound, codespace_basis,
                              logical_basis, materialize, max_eig,
                              principal_angle_sin, qudit_codespace,
-                             random_realization, sector_spectrum, tilt_sweep)
+                             sector_spectrum, tilt_sweep)
+
+from realizations import random_realization
 
 SQRT2 = math.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
