@@ -7,8 +7,9 @@ sum-of-squares certificate.  Verification runs four independent routes:
 exact symbolic identity checking, spectral analysis against the codespace
 (one 2 x 2 block per syndrome sector), proof search over the on-state
 deduction rules, and a finite-shot game simulator that estimates the
-violation from sampled rounds.  Every refused input raises
-``InputError``, a ``ValueError``.
+violation from sampled rounds, drawing each monomial's outcome products
+from their exact Born-rule law under optional depolarizing noise.  Every
+refused input raises ``InputError``, a ``ValueError``.
 """
 
 from .pauli import (CodeValidationError, InputError, PauliWord, StabilizerCode,

@@ -177,7 +177,13 @@ def cmd_verify(args) -> int:
                          "residual_max": residual.max_abs_coeff(),
                          "bound": compiled.bound,
                          "reduced_form": compiled.reduced_form}
-    if args.check != "sos":
+    if args.check == "classical":
+        # only the top eigenvalue: no target state, so no logical basis
+        sectors = (verify.sector_spectrum(poly, compiled.assignment, code)
+                   if code is not None and compiled is not None else None)
+        spectral = {"max_eigenvalue": float(sectors[0].max())
+                    if sectors is not None else _spectrum(poly).max_eigenvalue}
+    elif args.check != "sos":
         # one spectrum per command: the spectral and classical checks share it
         if code is not None and compiled is not None:
             spectral = verify.check_selftest(compiled, code).to_json()

@@ -1,30 +1,19 @@
 """Finite-shot simulation of the verifier/prover rounds.
 
 A strategy is a shared state plus two single-qubit observables per site.
-Each round the verifier picks one setting per site, the provers return
-+-1 outcomes drawn by the Born rule, and correlation estimates aggregate
-the outcome products.  One sampler serves rounds and estimates: it rotates
-the state into every site's eigenbasis for the chosen settings and draws
-basis indices, whose bits are the per-site outcomes.  Local depolarizing
-noise (1 - p) rho + p I/2 is exact outcome replacement: with probability p
-a measured site's outcome becomes one of its two eigenvalues chosen
-uniformly, i.e. its eigenvalue index flips with probability p/2.  The
-channels act per site and unmeasured sites are traced out, so this is the
-exact joint law.
+Each round the verifier picks one setting per site and the provers return
++-1 outcomes drawn by the Born rule: ``sample_round`` rotates the state
+into every site's eigenbasis for the chosen settings and draws one basis
+index, whose bits are the per-site outcomes.
 
-The index draw reproduces ``Generator.choice(d, size, p=probs)`` index for
-index and consumes the same stream: the same normalized cdf, the same
-``rng.random(shots)`` uniforms and the same answer, count(cdf <= u).  Only
-the lookup differs.  A guide table splits [0, 1) into a power of two of
-buckets, so a uniform's bucket floor(u * buckets) is exact; a bucket
-holding no cdf value gives every uniform in it one index, and only the
-uniforms in the at most d other buckets are binary-searched.  A monomial's
-outcome product is then one lookup per shot in a table over the 2^n basis
-indices, built with the per-shot product's multiplications in the same
-site order, so means and variances are bit-equal; noise flips are drawn
-per site in the same order and xor-ed into the index.  A noise sweep
-draws each monomial's clean indices once and rewinds the stream to just
-after that draw for each row's flips.
+An estimate needs only each monomial's outcome product, which is +-1 with
+P(+1) = (1 + <m>)/2 exactly, <m> = <psi| (x) A_site |psi> over the
+monomial's sites.  Local depolarizing noise (1 - p) rho + p I/2 on every
+site scales <m> by (1 - p)^|supp m|: the channels act per site, and an
+unmeasured site's channel is traced out.  So the number of +1 products in
+m shots is one binomial draw, and the mean and ddof=1 variance of the m
+products follow from it in closed form; this is the exact law of m
+independent rounds, with no per-shot array.
 """
 
 from __future__ import annotations
@@ -39,11 +28,8 @@ from .pauli import InputError, SizeLimitError, StabilizerCode
 from .poly import BellPolynomial, MeasurementAssignment, Monomial
 from .verify import Realization, canonical_realization, logical_basis
 
-# One monomial's draw keeps about 25 bytes per shot alive (the int64 index
-# array, the float64 products and their variance's deviations or, under
-# noise, the flipped indices and one site's flip draws; tracemalloc peak at
-# 1e6 shots: 24 B at p = 0, 25 B at p = 0.1).  2^25 shots take
-# 2^25 x 25 B = 0.84 GB, in line with pauli.MAX_MATRIX_DIM's 1.25 GiB.
+# The cap bounds the requested shot budget; no per-shot array exists, since
+# each monomial's outcome products are one binomial draw.
 MAX_SHOTS = 2**25
 
 
@@ -92,53 +78,6 @@ class Strategy:
         return cls(state=state, realization=canonical_realization(asg), seed=seed)
 
 
-def _born_indices(strategy: Strategy, settings: Sequence[int], shots: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Born-rule basis indices for `shots` rounds, site k measured in
-    setting settings[k - 1], and each site's ascending eigenvalues; bit
-    n - k of an index selects site k's outcome."""
-    n = strategy.n
-    psi = strategy.state.reshape((2,) * n)
-    outcome_vals = []
-    for k in range(n):
-        vals, vecs = strategy._eigs[k][settings[k]]
-        psi = np.moveaxis(np.tensordot(vecs.conj().T, psi, axes=([1], [k])), 0, k)
-        outcome_vals.append(vals)
-    probs = np.abs(psi.reshape(-1))**2
-    probs = probs / probs.sum()
-    return _guide_draw(probs, shots, rng), outcome_vals
-
-
-def _guide_draw(probs: np.ndarray, shots: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """``rng.choice(probs.size, size=shots, p=probs)``, index for index.
-
-    The same cdf and uniforms as choice, but a guide table (Chen and Asau's
-    indexed search) replaces its per-shot binary search: only uniforms in
-    a bucket that holds a cdf value are searched.
-    """
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    u = rng.random(shots)
-    # about 64 buckets per outcome, never more buckets than shots
-    buckets = 1 << min((64 * probs.size - 1).bit_length(),
-                       shots.bit_length() - 1)
-    u *= buckets  # exact, like cdf * buckets: a power-of-two scale
-    idx = _guide_table(cdf, buckets)[u.astype(np.intp)]
-    split = np.flatnonzero(idx < 0)
-    idx[split] = (cdf * buckets).searchsorted(u[split], side="right")
-    return idx
-
-
-def _guide_table(cdf: np.ndarray, buckets: int) -> np.ndarray:
-    """choice's index, count(cdf <= u), shared by every u in bucket b,
-    [b, b + 1) / buckets; -1 where a cdf value inside the bucket splits it."""
-    edges = np.arange(buckets + 1) / buckets
-    lo = cdf.searchsorted(edges[:-1], side="right")
-    hi = cdf.searchsorted(edges[1:], side="left")
-    return np.where(lo == hi, lo, -1)
-
-
 def sample_round(strategy: Strategy,
                  settings: Mapping[int, int]) -> dict[int, int]:
     """One verifier round: a single Born-rule draw of every site's outcome
@@ -149,9 +88,17 @@ def sample_round(strategy: Strategy,
     n = strategy.n
     if set(settings) != set(range(1, n + 1)):
         raise InputError("settings must cover every site exactly once")
-    idx, vals = _born_indices(strategy, [settings[s] for s in range(1, n + 1)],
-                              1, strategy._rng)
-    return {s: int(round(vals[s - 1][(idx[0] >> (n - s)) & 1]))
+    psi = strategy.state.reshape((2,) * n)
+    vals = []
+    for k in range(n):
+        site_vals, vecs = strategy._eigs[k][settings[k + 1]]
+        psi = np.moveaxis(np.tensordot(vecs.conj().T, psi, axes=([1], [k])), 0, k)
+        vals.append(site_vals)
+    probs = np.abs(psi.reshape(-1))**2
+    probs = probs / probs.sum()
+    # bit n - s of the basis index selects site s's ascending eigenvalue
+    idx = strategy._rng.choice(probs.size, size=1, p=probs)[0]
+    return {s: int(round(vals[s - 1][(idx >> (n - s)) & 1]))
             for s in range(1, n + 1)}
 
 
@@ -192,26 +139,27 @@ def _allocate(weights: Sequence[float], shots: int) -> list[int]:
     return alloc
 
 
-def _product_table(n: int, sites: tuple[int, ...],
-                   outcome_vals: list[np.ndarray]) -> np.ndarray:
-    """The outcome product of every basis index: entry i multiplies, from
-    1 and in site order, each measured site's eigenvalue at its bit of i,
-    the multiplications a per-shot product over the same sites makes."""
-    bits = np.arange(2**n)
-    table = np.ones(2**n)
-    for site in sites:
-        table *= outcome_vals[site - 1][(bits >> (n - site)) & 1]
-    return table
+def _expectation(strategy: Strategy, mono: Monomial) -> float:
+    """<psi| (x) A_site |psi> over the monomial's sites, each A_site the
+    strategy's own observable for its setting."""
+    n = strategy.n
+    psi = strategy.state.reshape((2,) * n)
+    phi = psi
+    for site, word in mono.factors:
+        obs = strategy.realization.obs(site, word[0])
+        phi = np.moveaxis(np.tensordot(obs, phi, axes=([1], [site - 1])),
+                          0, site - 1)
+    return float(np.vdot(psi, phi).real)
 
 
-def _flipped(idx: np.ndarray, n: int, sites: tuple[int, ...],
-             rng: np.random.Generator, noise_p: float) -> np.ndarray:
-    """A copy of idx in which each measured site's eigenvalue index flips
-    with probability p/2, one uniform per shot and site, in site order."""
-    flipped = idx.copy()
-    for site in sites:
-        flipped ^= (rng.random(idx.size) < noise_p / 2) << (n - site)
-    return flipped
+def _draw_products(seed: np.random.SeedSequence, m: int,
+                   prob: float) -> tuple[float, float]:
+    """Mean and ddof=1 variance of m +-1 outcome products, each +1 with
+    probability prob (clipped to [0, 1]), from one binomial draw of the
+    number of +1s."""
+    k = np.random.default_rng(seed).binomial(m, min(max(prob, 0.0), 1.0))
+    mean = float((2 * k - m) / m)
+    return mean, (m * (1.0 - mean * mean) / (m - 1) if m > 1 else 0.0)
 
 
 def _estimate_rows(strategy: Strategy, poly: BellPolynomial, shots: int,
@@ -220,9 +168,8 @@ def _estimate_rows(strategy: Strategy, poly: BellPolynomial, shots: int,
     """One estimate per noise probability in the grid, each equal to a
     lone estimate at that probability.
 
-    Every monomial draws its clean indices once.  Each row restores the
-    monomial's stream to just after that draw before its flip draws, so
-    every row consumes the stream as a lone estimate does.
+    Each monomial's <m> is computed once; every row draws from a generator
+    built afresh from the monomial's seed, as a lone estimate does.
     """
     for p in noise_grid:
         if not 0.0 <= p <= 1.0:
@@ -255,30 +202,16 @@ def _estimate_rows(strategy: Strategy, poly: BellPolynomial, shots: int,
         raise InputError(f"unknown allocation {allocation!r}")
     alloc = _allocate(weights, shots)
     seeds = np.random.SeedSequence(strategy.seed).spawn(len(sampled))
-    n = strategy.n
     estimates = [constant] * len(noise_grid)
     variances = [0.0] * len(noise_grid)
     per_setting: list[list[dict]] = [[] for _ in noise_grid]
     for (mono, coeff), m, seed in zip(sampled, alloc, seeds):
-        rng = np.random.default_rng(seed)
         sites = tuple(s for s, _ in mono.factors)
         settings = tuple(word[0] for _, word in mono.factors)
-        # unmeasured sites take setting 0; their outcomes are never read
-        full_settings = [0] * n
-        for site, setting in zip(sites, settings):
-            full_settings[site - 1] = setting
-        idx, outcome_vals = _born_indices(strategy, full_settings, m, rng)
-        table = _product_table(n, sites, outcome_vals)
-        drawn = rng.bit_generator.state
+        clean = _expectation(strategy, mono)
         for row, p in enumerate(noise_grid):
-            if p > 0:
-                rng.bit_generator.state = drawn
-                products = table[_flipped(idx, n, sites, rng, p)]
-            else:
-                products = table[idx]
-            mean = float(products.mean())
-            var = float(products.var(ddof=1)) if m > 1 else 0.0
-            del products  # freed before the next row draws its flips
+            noisy = (1.0 - p)**len(sites) * clean
+            mean, var = _draw_products(seed, m, (1.0 + noisy) / 2)
             estimates[row] += coeff * mean
             variances[row] += coeff * coeff * var / m
             per_setting[row].append({
@@ -301,8 +234,9 @@ def estimate_bell(strategy: Strategy, poly: BellPolynomial, shots: int,
 
     Shots are split across monomials proportionally to |coefficient|
     (minimum one each); ``allocation='uniform'`` splits evenly.  Each
-    monomial gets an independent seeded stream, so reports are
-    reproducible for any execution order.
+    monomial's m outcome products are one exact binomial draw with
+    P(+1) = (1 + (1 - noise_p)^|supp| <m>)/2, from its own child of the
+    strategy seed, so reports are reproducible for any execution order.
     """
     return _estimate_rows(strategy, poly, shots, allocation, [noise_p])[0]
 
@@ -313,9 +247,10 @@ def noise_sweep(strategy: Strategy, poly: BellPolynomial,
     """Estimate under per-site depolarizing noise for each p in the grid,
     one report per p carrying it as ``p``.
 
-    Every row equals estimate_bell at its p with the strategy seed, so the
-    p = 0 row coincides with estimate_bell exactly.  Every p is checked
-    before anything is drawn.
+    Each monomial's <m> is computed once for all rows; every row equals
+    estimate_bell at its p with the strategy seed, so the p = 0 row
+    coincides with estimate_bell exactly.  Every p is checked before
+    anything is drawn.
     """
     return _estimate_rows(strategy, poly, shots, allocation,
                           [float(p) for p in p_grid])

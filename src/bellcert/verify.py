@@ -61,9 +61,10 @@ class Realization:
                 d = obs.shape[0]
                 if obs.shape != (d, d):
                     raise RealizationError(f"site {site} setting {x}: not square")
-                if np.abs(obs - obs.conj().T).max() > 1e-12:
+                # written so that NaN fails each comparison
+                if not np.abs(obs - obs.conj().T).max() <= 1e-12:
                     raise RealizationError(f"site {site} setting {x}: not Hermitian")
-                if np.abs(obs @ obs - np.eye(d)).max() > 1e-12:
+                if not np.abs(obs @ obs - np.eye(d)).max() <= 1e-12:
                     raise RealizationError(
                         f"site {site} setting {x}: square differs from identity")
 

@@ -23,9 +23,10 @@ QRM15 = Path(__file__).parent / "fixtures" / "qrm15.json"
 CODE422 = Path(__file__).parent / "fixtures" / "code422.json"
 
 # SHA-256 of TestSimulate.test_golden_simulate_digest's runs (argv, exit code,
-# stdout), as the sampler drawing through Generator.choice produced them.
+# stdout), as the sampler drawing each monomial's outcome products in one
+# binomial draw produced them.
 GOLDEN_SIMULATE_DIGEST = (
-    "94d7f3acf98f068630a3aabee2031721ffc01610ff1c2ea3a6c04f52a6ab90b7")
+    "6f29167b841cca8b83a4749f193f630a94987182dac45fe910abe0dbfaf9b8c4")
 
 
 def run(argv):
@@ -137,7 +138,9 @@ def test_signed_generator_exits_2(argv, tmp_path, capsys):
     (["verify", "all", "--theta", "0.3", "--alpha0", "1"], 2),
     (["simulate", "estimate", "--seed", "1"], 2),
     (["verify", "all"], 0),
-], ids=["tilted-verify", "simulate", "untilted-verify"])
+    # the classical check needs only the top eigenvalue: dense top 5.0
+    (["verify", "classical", "--theta", "0.3", "--alpha0", "1"], 0),
+], ids=["tilted-verify", "simulate", "untilted-verify", "tilted-classical"])
 def test_k2_code_refuses_logical_basis(argv, want, capsys):
     # [[4,2,2]]: the codespace certificate holds, a tilted codeword needs k = 1
     assert run(argv + ["--code-file", str(CODE422)]) == want

@@ -3,16 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bellcert import sim
 from bellcert.compile import build_bell, chsh_polynomial, default_certificate
 from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
 from bellcert.pauli import InputError, SizeLimitError
 from bellcert.sim import (MAX_SHOTS, EstimationError, Strategy, _allocate,
-                          _guide_draw, _guide_table, estimate_bell,
-                          noise_sweep, sample_round)
+                          _expectation, estimate_bell, noise_sweep,
+                          sample_round)
 from bellcert.verify import Realization, canonical_realization, materialize
+
+from realizations import random_realization
 
 SQRT2 = math.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -60,6 +62,20 @@ class TestSampleRound:
                 product *= out[s]
             assert product == 1
 
+    def test_golden_rounds(self, five_qubit):
+        # 20 rounds at a fixed seed, settings cycling through the bit
+        # patterns of the round number, as Generator.choice draws them
+        strat = Strategy.from_code(five_qubit, theta=0.3, seed=11)
+        rounds = []
+        for r in range(20):
+            out = sample_round(strat, {s: (r >> (s - 1)) & 1 for s in range(1, 6)})
+            rounds.append("".join("+" if out[s] == 1 else "-"
+                                  for s in range(1, 6)))
+        assert rounds == [
+            "--+--", "-+++-", "+--++", "---++", "---+-", "++++-", "-----",
+            "--+--", "+++-+", "+--++", "-+-++", "+----", "+-++-", "-+--+",
+            "--+--", "++--+", "+-+-+", "+----", "++-+-", "+---+"]
+
     def test_settings_must_cover_sites(self):
         strat = bell_pair_strategy()
         with pytest.raises(ValueError):
@@ -67,54 +83,29 @@ class TestSampleRound:
 
 
 @st.composite
-def _distributions(draw):
-    """Born-rule probabilities over 2..2^12 outcomes: spread, with
-    zero-probability outcomes, a point mass, or dyadic weights whose cdf
-    values sit on bucket edges."""
-    d = draw(st.integers(2, 2**12))
+def _states_and_monomials(draw):
+    """A random dimension-2 realization, a random normalized state and a
+    monomial with one letter on each of a nonempty set of sites."""
+    n = draw(st.integers(1, 4))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["spread", "zeros", "point", "dyadic"]))
-    if kind == "point":
-        p = np.zeros(d)
-        p[draw(st.integers(0, d - 1))] = 1.0
-        return p
-    if kind == "dyadic":
-        w = gen.integers(0, 4, d)
-        w[-1] += (1 << int(w.sum()).bit_length()) - w.sum()
-        return w / w.sum()
-    p = gen.random(d) ** draw(st.integers(1, 8))
-    if kind == "zeros":
-        p[gen.random(d) < draw(st.floats(0.1, 0.95))] = 0.0
-        p[draw(st.integers(0, d - 1))] += 1e-3
-    return p / p.sum()
-
-
-class TestGuideDraw:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
-    @given(_distributions(), st.integers(1, 200_000), st.integers(0, 2**32 - 1))
-    @example(np.array([0.25, 0.25, 0.5]), 1, 0)
-    @example(np.array([0.25, 0.25, 0.5]), 100_000, 1)
-    @example(np.array([0.0, 0.5, 0.0, 0.5, 0.0]), 4096, 2)
-    @example(np.array([0.0, 1.0]), 7, 3)
-    def test_matches_generator_choice(self, p, m, s):
-        want_rng, got_rng = np.random.default_rng(s), np.random.default_rng(s)
-        want = want_rng.choice(p.size, size=m, p=p)
-        got = _guide_draw(p, m, got_rng)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-        # and the stream continues where choice leaves it
-        assert got_rng.random() == want_rng.random()
-
-    def test_cdf_values_on_bucket_edges_need_no_search(self):
-        assert _guide_table(np.array([0.25, 0.5, 1.0]), 8).tolist() == [
-            0, 0, 1, 1, 2, 2, 2, 2]
-        assert _guide_table(np.array([0.0, 0.5, 1.0]), 4).tolist() == [
-            1, 1, 2, 2]
-        # a cdf value inside a bucket leaves it to the search
-        assert _guide_table(np.array([0.3, 1.0]), 4).tolist() == [0, -1, 1, 1]
+    real = random_realization(n, gen, dims=(2,))
+    state = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+    state /= np.linalg.norm(state)
+    sites = draw(st.lists(st.integers(1, n), min_size=1, unique=True))
+    mono = Monomial.from_dict({s: (draw(st.sampled_from([A0, A1])),)
+                               for s in sites})
+    return Strategy(state, real), mono
 
 
 class TestEstimate:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_states_and_monomials())
+    def test_expectation_matches_materialized_monomial(self, case):
+        strat, mono = case
+        h = materialize(BellPolynomial({mono: 1.0}), strat.realization)
+        exact = np.vdot(strat.state, h @ strat.state).real
+        assert abs(_expectation(strat, mono) - exact) <= 1e-12
+
     def test_chsh_converges(self):
         strat = bell_pair_strategy(seed=5)
         report = estimate_bell(strat, chsh_polynomial(), 100_000)
@@ -238,19 +229,19 @@ class TestNoise:
                                                      monkeypatch):
         compiled = build_bell(default_certificate(five_qubit), five_qubit)
         grid = [0.1, 0.0, 0.05, 1.0]
-        draws = []
-        born = sim._born_indices
+        seen = []
+        expectation = sim._expectation
 
-        def counting(*args):
-            draws.append(args[2])
-            return born(*args)
+        def counting(strategy, mono):
+            seen.append(mono)
+            return expectation(strategy, mono)
 
-        monkeypatch.setattr(sim, "_born_indices", counting)
+        monkeypatch.setattr(sim, "_expectation", counting)
         rows = noise_sweep(Strategy.from_code(five_qubit, seed=5),
                            compiled.poly, grid, 20_000)
         monkeypatch.undo()
-        # one clean draw per sampled monomial, not one per row
-        assert len(draws) == 7 and sum(draws) == 20_000
+        # one expectation per sampled monomial, not one per row
+        assert len(seen) == 7
         for row, p in zip(rows, grid):
             lone = estimate_bell(Strategy.from_code(five_qubit, seed=5),
                                  compiled.poly, 20_000, noise_p=p)
@@ -263,7 +254,7 @@ class TestNoise:
         def no_draw(*args):
             raise AssertionError("drew before checking every p")
 
-        monkeypatch.setattr(sim, "_born_indices", no_draw)
+        monkeypatch.setattr(sim, "_draw_products", no_draw)
         with pytest.raises(ValueError, match="outside"):
             noise_sweep(Strategy.from_code(five_qubit, seed=1), compiled.poly,
                         [0.0, 1.5], 100)
@@ -300,6 +291,12 @@ class TestStrategy:
     def test_nan_state_refused(self):
         with pytest.raises(ValueError, match="state norm nan"):
             Strategy(np.array([math.nan, 0, 0, 0]), direct_realization(2))
+
+    def test_nan_observable_refused(self):
+        nan = np.full((2, 2), math.nan, dtype=complex)
+        with pytest.raises(InputError, match="site 2 setting 0"):
+            Strategy(np.array([1.0, 0, 0, 0]),
+                     Realization(((X, Z), (nan, Z))))
 
     def test_dimension_checked(self):
         with pytest.raises(ValueError):

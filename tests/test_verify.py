@@ -13,7 +13,8 @@ from bellcert.compile import (SOSCertificate, build_bell, chsh_certificate,
 from bellcert.pauli import (PauliWord, SizeLimitError, StabilizerCode,
                             code_preset, load_code)
 from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
-from bellcert.verify import (Realization, canonical_realization,
+from bellcert.verify import (Realization, RealizationError,
+                             canonical_realization,
                              canonicalize_pair,
                              check_selftest, classical_bound, codespace_basis,
                              logical_basis, materialize, max_eig,
@@ -29,6 +30,13 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 def asg(n, pairs):
     return MeasurementAssignment(n, pairs)
+
+
+class TestRealization:
+    def test_nan_setting_refused(self):
+        # NaN passes every "> tol" test; the checks fail it instead
+        with pytest.raises(RealizationError, match="site 1 setting 1"):
+            Realization(((X, np.full((2, 2), math.nan, dtype=complex)),))
 
 
 class TestCanonicalRealization:
