@@ -21,7 +21,8 @@ from .compile import (CertificateError, CompiledInequality, SOSCertificate,
                       substitute, verify_sos)
 from .verify import (Realization, SelftestReport, SpectralReport,
                      canonical_realization, canonicalize_pair, check_selftest,
-                     classical_bound, codespace_basis, logical_basis,
+                     classical_bound, codespace_basis,
+                     codeword_expectations, logical_basis,
                      materialize, max_eig, principal_angle_sin,
                      qudit_codespace, tilt_sweep)
 from .engine import (Budget, DeduceResult, Problem, deduce, problem_for_code,

@@ -13,20 +13,24 @@ site scales <m> by (1 - p)^|supp m|: the channels act per site, and an
 unmeasured site's channel is traced out.  So the number of +1 products in
 m shots is one binomial draw, and the mean and ddof=1 variance of the m
 products follow from it in closed form; this is the exact law of m
-independent rounds, with no per-shot array.
+independent rounds, with no per-shot array.  On a code's tilted codeword
+each <m> comes from the stabilizer algebra, so an estimate builds no 2^n
+state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .pauli import InputError, SizeLimitError, StabilizerCode
 from .poly import BellPolynomial, MeasurementAssignment, Monomial
-from .verify import Realization, canonical_realization, logical_basis
+from .verify import (Realization, canonical_realization,
+                     codeword_expectations, logical_basis)
 
 # The cap bounds the requested shot budget; no per-shot array exists, since
 # each monomial's outcome products are one binomial draw.
@@ -37,29 +41,46 @@ class EstimationError(ValueError):
     """Raised when a polynomial cannot be estimated from single-shot rounds."""
 
 
-@dataclass
 class Strategy:
-    """Shared n-qubit state, a realization, and the RNG seed."""
+    """Shared n-qubit state, a realization, and the RNG seed.
 
-    state: np.ndarray
-    realization: Realization
-    seed: int = 0
+    A strategy from ``from_code`` keeps its ``codeword`` (code, theta,
+    assignment) instead of a state: estimates take each <m> from
+    ``verify.codeword_expectations``, and the 2^n state and the settings'
+    eigenbases are built only when first used, by ``sample_round`` say.
+    """
 
-    def __post_init__(self):
-        self.state = np.asarray(self.state, dtype=complex).reshape(-1)
-        n = self.realization.n
-        if self.state.shape[0] != 2**n:
-            raise InputError(f"state dimension {self.state.shape[0]} != 2^{n}")
+    def __init__(self, state: np.ndarray | None, realization: Realization,
+                 seed: int = 0,
+                 codeword: tuple[StabilizerCode, float,
+                                 MeasurementAssignment] | None = None):
+        self.realization, self.seed, self.codeword = realization, seed, codeword
+        n = realization.n
         for site in range(1, n + 1):
-            if self.realization.dim(site) != 2:
+            if realization.dim(site) != 2:
                 raise InputError("sampling requires dimension-2 sites")
-        norm = np.linalg.norm(self.state)
-        if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
-            raise InputError(f"state norm {norm} != 1")
-        self._rng = np.random.default_rng(self.seed)
-        # per site and setting: (ascending eigenvalues, eigenvector columns)
-        self._eigs = [[np.linalg.eigh(self.realization.obs(site, setting))
-                       for setting in (0, 1)] for site in range(1, n + 1)]
+        if codeword is None:
+            self.state = np.asarray(state, dtype=complex).reshape(-1)
+            if self.state.shape[0] != 2**n:
+                raise InputError(f"state dimension {self.state.shape[0]} "
+                                 f"!= 2^{n}")
+            norm = np.linalg.norm(self.state)
+            if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
+                raise InputError(f"state norm {norm} != 1")
+        self._rng = np.random.default_rng(seed)
+
+    @cached_property
+    def state(self) -> np.ndarray:
+        """The 2^n vector; a ``from_code`` strategy builds it on first read."""
+        code, theta, _ = self.codeword
+        v0, v1 = logical_basis(code)
+        return math.cos(theta) * v0 + math.sin(theta) * v1
+
+    @cached_property
+    def _eigs(self) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+        """Per site and setting: (ascending eigenvalues, eigenvector columns)."""
+        return [[np.linalg.eigh(self.realization.obs(site, setting))
+                 for setting in (0, 1)] for site in range(1, self.n + 1)]
 
     @property
     def n(self) -> int:
@@ -72,10 +93,15 @@ class Strategy:
         """Tilted codeword cos(theta)|0L> + sin(theta)|1L> with the
         canonical realization of ``asg``, by default the code's pair sites
         at mu = pi/4."""
-        v0, v1 = logical_basis(code)
-        state = math.cos(theta) * v0 + math.sin(theta) * v1
+        if code.k != 1:
+            raise InputError(f"logical basis defined for k=1 codes, "
+                             f"not k={code.k}")
         asg = asg or MeasurementAssignment(code.n, code.pair_sites)
-        return cls(state=state, realization=canonical_realization(asg), seed=seed)
+        if asg.n != code.n:
+            raise InputError(f"assignment on {asg.n} sites; code {code.name} "
+                             f"has n = {code.n}")
+        return cls(None, canonical_realization(asg), seed,
+                   codeword=(code, theta, asg))
 
 
 def sample_round(strategy: Strategy,
@@ -168,8 +194,10 @@ def _estimate_rows(strategy: Strategy, poly: BellPolynomial, shots: int,
     """One estimate per noise probability in the grid, each equal to a
     lone estimate at that probability.
 
-    Each monomial's <m> is computed once; every row draws from a generator
-    built afresh from the monomial's seed, as a lone estimate does.
+    Each monomial's <m> is computed once, from the stabilizer algebra for
+    a ``from_code`` strategy and from the state otherwise; every row draws
+    from a generator built afresh from the monomial's seed, as a lone
+    estimate does.
     """
     for p in noise_grid:
         if not 0.0 <= p <= 1.0:
@@ -205,10 +233,15 @@ def _estimate_rows(strategy: Strategy, poly: BellPolynomial, shots: int,
     estimates = [constant] * len(noise_grid)
     variances = [0.0] * len(noise_grid)
     per_setting: list[list[dict]] = [[] for _ in noise_grid]
-    for (mono, coeff), m, seed in zip(sampled, alloc, seeds):
+    if strategy.codeword is None:
+        exact = [_expectation(strategy, mono) for mono, _ in sampled]
+    else:
+        code, theta, asg = strategy.codeword
+        by_mono = codeword_expectations(poly, asg, code, theta)
+        exact = [by_mono[mono] for mono, _ in sampled]
+    for (mono, coeff), m, seed, clean in zip(sampled, alloc, seeds, exact):
         sites = tuple(s for s, _ in mono.factors)
         settings = tuple(word[0] for _, word in mono.factors)
-        clean = _expectation(strategy, mono)
         for row, p in enumerate(noise_grid):
             noisy = (1.0 - p)**len(sites) * clean
             mean, var = _draw_products(seed, m, (1.0 + noisy) / 2)

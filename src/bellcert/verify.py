@@ -9,9 +9,11 @@ every setting is a Pauli combination, so a compiled polynomial is a sum of
 Pauli words; for a qubit code with k = 1 each word in the normalizer is
 i^(-p) S^a Xbar^bx Zbar^bz, which acts on the sector with syndrome s as
 i^(-p) (-1)^(a.s) times a 2 x 2 logical Pauli.  One batched eigh over the 2^(n-1)
-blocks gives the whole spectrum.  Polynomials without a code, random
-realizations and words outside the normalizer use the dense route instead:
-``materialize`` builds the 2^n x 2^n matrix and ``max_eig`` diagonalizes it.
+blocks gives the whole spectrum, and the same coordinates give each
+monomial's exact expectation on a tilted codeword (``codeword_expectations``).
+Polynomials without a code, random realizations and words outside the
+normalizer use the dense route instead: ``materialize`` builds the
+2^n x 2^n matrix and ``max_eig`` diagonalizes it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 
 from .pauli import (MAX_MATRIX_DIM, InputError, PauliWord, SizeLimitError,
                     StabilizerCode, apply_word, code_preset, codespace_basis, mul)
-from .poly import COEFF_TOL, BellPolynomial, MeasurementAssignment
+from .poly import (COEFF_TOL, BellPolynomial, MeasurementAssignment,
+                   Monomial)
 from .compile import CompiledInequality, SOSCertificate, build_bell
 
 EIG_CLUSTER_TOL = 1e-8
@@ -61,7 +64,10 @@ class Realization:
                 d = obs.shape[0]
                 if obs.shape != (d, d):
                     raise RealizationError(f"site {site} setting {x}: not square")
-                # written so that NaN fails each comparison
+                # before any arithmetic, which would warn on an infinite entry
+                if not np.isfinite(obs).all():
+                    raise RealizationError(
+                        f"site {site} setting {x}: non-finite entry")
                 if not np.abs(obs - obs.conj().T).max() <= 1e-12:
                     raise RealizationError(f"site {site} setting {x}: not Hermitian")
                 if not np.abs(obs @ obs - np.eye(d)).max() <= 1e-12:
@@ -176,38 +182,44 @@ def _top_cluster(vals: np.ndarray) -> tuple[float, np.ndarray, float]:
 _I_INV_POW = np.array([1, -1j, -1, 1j])  # i^(-p) for p = 0..3
 
 
+def _expand(mono: Monomial, coeff: complex, asg: MeasurementAssignment,
+            site_words: dict) -> list[tuple[int, int, complex]]:
+    """coeff * mono at the canonical realization as (x mask, z mask, c)
+    terms, c X^x Z^z summed, each key once.
+
+    Bit k - 1 of a mask belongs to site k.  Each setting is expanded by
+    ``_setting_paulis``; ``site_words`` caches each (site, word)'s terms.
+    """
+    acc = [(0, 0, complex(coeff))]
+    for site, word in mono.factors:
+        if (site, word) not in site_words:
+            settings = _setting_paulis(asg, site)
+            local = {(0, 0): 1.0}
+            for letter in word:
+                nxt: dict[tuple[int, int], complex] = {}
+                for (x, z), c in local.items():
+                    for lx, lz, lc in settings[letter]:
+                        # Z^z X^lx = (-1)^(z lx) X^lx Z^z
+                        key = (x ^ lx, z ^ lz)
+                        nxt[key] = nxt.get(key, 0) + (-1)**(z & lx) * lc * c
+                local = nxt
+            site_words[site, word] = [(x, z, c) for (x, z), c in local.items()]
+        bit = 1 << (site - 1)
+        acc = [(x | bit * lx, z | bit * lz, c * lc) for x, z, c in acc
+               for lx, lz, lc in site_words[site, word]]
+    return acc
+
+
 def _pauli_sum(poly: BellPolynomial,
                asg: MeasurementAssignment) -> dict[tuple[int, int], complex]:
-    """poly at the canonical realization as {(x mask, z mask): c}, c X^x Z^z
-    summed.
-
-    Bit k - 1 of a mask belongs to site k; each setting is expanded by
-    ``_setting_paulis``, and collected coefficients at or below COEFF_TOL
-    are dropped.
-    """
-    site_words: dict[tuple[int, tuple[int, ...]], dict] = {}
+    """poly at the canonical realization as {(x mask, z mask): c}, the sum
+    of its monomials' ``_expand`` terms; collected coefficients at or below
+    COEFF_TOL are dropped."""
+    site_words: dict = {}
     total: dict[tuple[int, int], complex] = {}
     for mono, coeff in poly.terms():
-        acc = {(0, 0): complex(coeff)}
-        for site, word in mono.factors:
-            if (site, word) not in site_words:
-                settings = _setting_paulis(asg, site)
-                local = {(0, 0): 1.0}
-                for letter in word:
-                    nxt: dict[tuple[int, int], complex] = {}
-                    for (x, z), c in local.items():
-                        for lx, lz, lc in settings[letter]:
-                            # Z^z X^lx = (-1)^(z lx) X^lx Z^z
-                            key = (x ^ lx, z ^ lz)
-                            nxt[key] = nxt.get(key, 0) + (-1)**(z & lx) * lc * c
-                    local = nxt
-                site_words[site, word] = local
-            bit = 1 << (site - 1)
-            acc = {(x | bit * lx, z | bit * lz): c * lc
-                   for (x, z), c in acc.items()
-                   for (lx, lz), lc in site_words[site, word].items()}
-        for key, c in acc.items():
-            total[key] = total.get(key, 0) + c
+        for x, z, c in _expand(mono, coeff, asg, site_words):
+            total[x, z] = total.get((x, z), 0) + c
     return {key: c for key, c in total.items() if abs(c) > COEFF_TOL}
 
 
@@ -245,28 +257,19 @@ def _symplectic_mask(word: PauliWord) -> int:
     return x | z << word.n
 
 
-def sector_spectrum(poly: BellPolynomial, asg: MeasurementAssignment,
-                    code: StabilizerCode
-                    ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Eigenvalues and eigenvectors of poly per syndrome sector, or None.
+def _normalizer_coords(code: StabilizerCode, keys: Iterable[tuple[int, int]]
+                       ) -> list[tuple[int, int, complex] | None] | None:
+    """X^x Z^z = i^(-p) S^a Xbar^(b & 1) Zbar^(b >> 1) for each (x, z) of
+    keys, as (a, b, i^(-p)), or None for a word outside the normalizer,
+    which anticommutes with some generator.
 
-    Returns (vals, vecs) of shapes (2^m, 2) and (2^m, 2, 2), m = n - 1: row s
-    is the block on the sector where generator j has eigenvalue (-1)^(s_j),
-    written in the basis (|0L>_s, Xbar|0L>_s) with Zbar|0L>_s = |0L>_s, so
-    row 0 is the codespace in the convention of ``logical_basis``.  Returns
-    None, for the dense route to take over, unless the code is a qubit code
-    with k = 1 on the assignment's sites whose generators and logicals are
-    independent involutions with the commutation of a stabilizer code, and
-    every word of the polynomial at the canonical realization lies in the
-    normalizer.  Refuses more than MAX_SECTORS sectors.
+    Returns None unless the code is a qubit code with k = 1 whose generators
+    and logicals are independent involutions with the commutation of a
+    stabilizer code.
     """
     n, m = code.n, len(code.generators)
-    if (code.q != 2 or code.k != 1 or m != n - 1 or asg.n != n
-            or poly.max_site() > n):
+    if code.q != 2 or code.k != 1 or m != n - 1:
         return None
-    if 1 << m > MAX_SECTORS:
-        raise SizeLimitError(f"{1 << m} syndrome sectors exceed the sector "
-                             f"cap {MAX_SECTORS}")
     rows = code.generators + (code.logical_x, code.logical_z)
     masks = [_symplectic_mask(w) for w in rows]
     for i, a in enumerate(masks):
@@ -276,17 +279,80 @@ def sector_spectrum(poly: BellPolynomial, asg: MeasurementAssignment,
             anticommute = ((a & b >> n) ^ (b & a >> n)).bit_count() & 1
             if anticommute != ({i, j} == {m, m + 1}):
                 return None
-    terms = _pauli_sum(poly, asg)
-    coords, rank = _gf2_coords(masks + [x | z << n for x, z in terms])
-    if rank != m + 2 or coords[:m + 2] != [1 << i for i in range(m + 2)]:
+    coords, _ = _gf2_coords(masks + [x | z << n for x, z in keys])
+    if coords[:m + 2] != [1 << i for i in range(m + 2)]:
         return None
-    # X^x Z^z = i^(-p) S^a Xbar^bx Zbar^bz: mix = (a, bx, bz), i^p its phase
-    weights = np.zeros((1 << m, 4), dtype=complex)
-    for mix, c in zip(coords[m + 2:], terms.values()):
+    out = []
+    for mix in coords[m + 2:]:
+        if mix >> m + 2:  # outside the rows' span: a new basis vector
+            out.append(None)
+            continue
         product = reduce(mul, (rows[i] for i in range(m + 2) if mix >> i & 1),
                          PauliWord.identity(n))
-        weights[mix & (1 << m) - 1, mix >> m] += c * _I_INV_POW[product.phase]
+        out.append((mix & (1 << m) - 1, mix >> m, _I_INV_POW[product.phase]))
+    return out
+
+
+def sector_spectrum(poly: BellPolynomial, asg: MeasurementAssignment,
+                    code: StabilizerCode
+                    ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenvalues and eigenvectors of poly per syndrome sector, or None.
+
+    Returns (vals, vecs) of shapes (2^m, 2) and (2^m, 2, 2), m = n - 1: row s
+    is the block on the sector where generator j has eigenvalue (-1)^(s_j),
+    written in the basis (|0L>_s, Xbar|0L>_s) with Zbar|0L>_s = |0L>_s, so
+    row 0 is the codespace in the convention of ``logical_basis``.  Returns
+    None, for the dense route to take over, unless the code meets
+    ``_normalizer_coords``'s conditions on the assignment's sites and every
+    word of the polynomial at the canonical realization lies in the
+    normalizer.  Refuses more than MAX_SECTORS sectors.
+    """
+    n, m = code.n, len(code.generators)
+    if (code.q != 2 or code.k != 1 or m != n - 1 or asg.n != n
+            or poly.max_site() > n):
+        return None
+    if 1 << m > MAX_SECTORS:
+        raise SizeLimitError(f"{1 << m} syndrome sectors exceed the sector "
+                             f"cap {MAX_SECTORS}")
+    terms = _pauli_sum(poly, asg)
+    coords = _normalizer_coords(code, terms)
+    if coords is None or None in coords:
+        return None
+    weights = np.zeros((1 << m, 4), dtype=complex)
+    for (a, b, phase), c in zip(coords, terms.values()):
+        weights[a, b] += c * phase
     return _eigh(np.tensordot(_walsh(weights), _SIGMA, axes=1))
+
+
+def codeword_expectations(poly: BellPolynomial, asg: MeasurementAssignment,
+                          code: StabilizerCode,
+                          theta: float) -> dict[Monomial, float]:
+    """<m> on the codeword cos(theta)|0L> + sin(theta)|1L> for each monomial
+    of poly at the canonical realization of asg, with no 2^n vector.
+
+    A normalizer word i^(-p) S^a Xbar^bx Zbar^bz has expectation
+    i^(-p) <sigma_b>, since S^a is 1 on the codespace, and <sigma_b> is 1,
+    sin 2 theta, cos 2 theta or 0 for b = 0..3; any other word anticommutes
+    with a generator, so its expectation is 0.  Refuses a code that fails
+    ``_normalizer_coords``'s conditions, or other sites than the code's.
+    """
+    if asg.n != code.n or poly.max_site() > code.n:
+        raise InputError(f"assignment on {asg.n} sites, polynomial up to site "
+                         f"{poly.max_site()}; code {code.name} has n = {code.n}")
+    site_words: dict = {}
+    expanded = [(mono, _expand(mono, 1.0, asg, site_words))
+                for mono, _ in poly.terms()]
+    keys = dict.fromkeys((x, z) for _, terms in expanded for x, z, _ in terms)
+    coords = _normalizer_coords(code, keys)
+    if coords is None:
+        raise InputError(f"code {code.name} is not a k = 1 qubit stabilizer "
+                         "code with independent involutive generators and "
+                         "logicals")
+    sigma = (1.0, math.sin(2 * theta), math.cos(2 * theta), 0.0)
+    value = {key: 0.0 if coord is None else coord[2] * sigma[coord[1]]
+             for key, coord in zip(keys, coords)}
+    return {mono: float(sum(c * value[x, z] for x, z, c in terms).real)
+            for mono, terms in expanded}
 
 
 # ---------------------------------------------------------------------------

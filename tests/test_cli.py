@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bellcert import compile as compiler, engine, sim, verify
+from bellcert import compile as compiler, engine, pauli, sim, verify
 from bellcert.cli import main
 from bellcert.pauli import (CodeValidationError, InputError, SizeLimitError,
                             code_preset, load_code)
@@ -670,6 +670,44 @@ class TestSimulate:
             code = run(argv)
             digest.update(repr((argv, code, capsys.readouterr().out)).encode())
         assert digest.hexdigest() == GOLDEN_SIMULATE_DIGEST
+
+
+    def test_qrm15_estimate_and_sweep(self, capsys):
+        # n = 15: no 2^15 codeword is built, so the estimate runs
+        code = load_code(QRM15.read_text())
+        bound = compiler.build_bell(compiler.default_certificate(code),
+                                    code).bound
+        assert bound == pytest.approx(28.0)
+        base = ["--code-file", str(QRM15), "--shots", "200000", "--seed", "1"]
+        assert run(["simulate", "estimate"] + base) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert abs(doc["estimate"] - bound) <= 5 * doc["stderr"]
+        assert run(["simulate", "noise-sweep"] + base) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert rows[0] == (f"0,200000,{doc['estimate']:.10g},"
+                           f"{doc['stderr']:.10g}")
+
+    def test_estimates_build_no_codespace(self, monkeypatch, capsys):
+        argvs = [["simulate", "estimate", "--code", "five_qubit",
+                  "--shots", "20000", "--seed", "3", "--state-theta", "0.4",
+                  "--mu", "0.7", "--alpha", "1,1,1,1.4188994317262345"],
+                 ["simulate", "noise-sweep", "--code-file", str(QRM15),
+                  "--shots", "20000", "--seed", "4", "--p-grid", "0,0.1,1"]]
+        before = []
+        for argv in argvs:
+            assert run(argv) == 0
+            before.append(capsys.readouterr().out)
+
+        def refuse(*args):
+            raise AssertionError("built a codespace")
+
+        for module, name in ((verify, "logical_basis"), (sim, "logical_basis"),
+                             (verify, "codespace_basis"),
+                             (pauli, "codespace_basis")):
+            monkeypatch.setattr(module, name, refuse)
+        for argv, out in zip(argvs, before):
+            assert run(argv) == 0
+            assert capsys.readouterr().out == out
 
 
 class TestRefusalFamily:

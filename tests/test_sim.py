@@ -229,24 +229,30 @@ class TestNoise:
                                                      monkeypatch):
         compiled = build_bell(default_certificate(five_qubit), five_qubit)
         grid = [0.1, 0.0, 0.05, 1.0]
-        seen = []
-        expectation = sim._expectation
+        state = Strategy.from_code(five_qubit).state
+        real = canonical_realization(compiled.assignment)
+        routes = {  # the codeword's algebra, and the same state given
+            "codeword_expectations": lambda: Strategy.from_code(five_qubit,
+                                                                seed=5),
+            "_expectation": lambda: Strategy(state, real, seed=5)}
+        for name, make in routes.items():
+            seen = []
+            compute = getattr(sim, name)
 
-        def counting(strategy, mono):
-            seen.append(mono)
-            return expectation(strategy, mono)
+            def counting(*args, compute=compute):
+                seen.append(args)
+                return compute(*args)
 
-        monkeypatch.setattr(sim, "_expectation", counting)
-        rows = noise_sweep(Strategy.from_code(five_qubit, seed=5),
-                           compiled.poly, grid, 20_000)
-        monkeypatch.undo()
-        # one expectation per sampled monomial, not one per row
-        assert len(seen) == 7
-        for row, p in zip(rows, grid):
-            lone = estimate_bell(Strategy.from_code(five_qubit, seed=5),
-                                 compiled.poly, 20_000, noise_p=p)
-            assert (row.p, row.shots, row.estimate, row.stderr) == (
-                p, lone.shots, lone.estimate, lone.stderr)
+            monkeypatch.setattr(sim, name, counting)
+            rows = noise_sweep(make(), compiled.poly, grid, 20_000)
+            monkeypatch.undo()
+            # one pass for the codeword; else one expectation per sampled
+            # monomial; never one per row
+            assert len(seen) == (1 if name == "codeword_expectations" else 7)
+            for row, p in zip(rows, grid):
+                lone = estimate_bell(make(), compiled.poly, 20_000, noise_p=p)
+                assert (row.p, row.shots, row.estimate, row.stderr) == (
+                    p, lone.shots, lone.estimate, lone.stderr)
 
     def test_grid_checked_before_drawing(self, five_qubit, monkeypatch):
         compiled = build_bell(default_certificate(five_qubit), five_qubit)

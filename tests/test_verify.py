@@ -1,7 +1,9 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +12,16 @@ from hypothesis import given, settings, strategies as st
 from bellcert import verify
 from bellcert.compile import (SOSCertificate, build_bell, chsh_certificate,
                               chsh_polynomial, default_certificate, substitute)
-from bellcert.pauli import (PauliWord, SizeLimitError, StabilizerCode,
-                            code_preset, load_code)
-from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
+from bellcert.pauli import (InputError, PauliWord, SizeLimitError,
+                            StabilizerCode, code_preset, load_code)
+from bellcert.poly import (A0, A1, COEFF_TOL, BellPolynomial,
+                          MeasurementAssignment, Monomial)
+from bellcert.sim import Strategy, _expectation
 from bellcert.verify import (Realization, RealizationError,
                              canonical_realization,
                              canonicalize_pair,
                              check_selftest, classical_bound, codespace_basis,
+                             codeword_expectations,
                              logical_basis, materialize, max_eig,
                              principal_angle_sin, qudit_codespace,
                              sector_spectrum, tilt_sweep)
@@ -34,9 +39,13 @@ def asg(n, pairs):
 
 class TestRealization:
     def test_nan_setting_refused(self):
-        # NaN passes every "> tol" test; the checks fail it instead
-        with pytest.raises(RealizationError, match="site 1 setting 1"):
-            Realization(((X, np.full((2, 2), math.nan, dtype=complex)),))
+        # NaN passes every "> tol" test, and an infinite entry makes the
+        # Hermitian check warn; both are refused before any arithmetic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (math.nan, np.inf):
+                with pytest.raises(RealizationError, match="site 1 setting 1"):
+                    Realization(((X, np.full((2, 2), bad, dtype=complex)),))
 
 
 class TestCanonicalRealization:
@@ -364,6 +373,103 @@ class TestSectorRoute:
         compiled = build_bell(default_certificate(five_qubit), five_qubit)
         assert sector_spectrum(compiled.poly, compiled.assignment,
                                code) is None
+
+
+QRM15 = load_code((Path(__file__).parent / "fixtures" / "qrm15.json")
+                  .read_text())
+_QUBIT_PRESETS = {name: code_preset(name)
+                  for name in ("five_qubit", "steane", "shor")}
+_LOGICAL_BASES = {name: logical_basis(code)
+                  for name, code in _QUBIT_PRESETS.items()}
+
+
+@st.composite
+def _codeword_cases(draw):
+    """A qubit preset, a tilt, a pair-site angle, and single-letter
+    monomials: the compiled polynomial's, which lie in the normalizer, and
+    random ones, which mostly do not."""
+    name = draw(st.sampled_from(sorted(_QUBIT_PRESETS)))
+    code = _QUBIT_PRESETS[name]
+    theta = draw(st.floats(0.0, math.pi / 2))
+    mu = draw(st.floats(0.1, 1.4, exclude_min=True, exclude_max=True))
+    compiled = build_bell(default_certificate(code, mu=mu), code)
+    monos = [mono for mono, _ in compiled.poly.terms()
+             if all(len(word) == 1 for _, word in mono.factors)]
+    letters = st.dictionaries(st.integers(1, code.n), st.sampled_from([A0, A1]),
+                              min_size=1)
+    monos += [Monomial.from_dict({s: (x,) for s, x in d.items()})
+              for d in draw(st.lists(letters, min_size=1, max_size=4))]
+    return name, theta, compiled, monos
+
+
+class TestCodewordExpectations:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(_codeword_cases())
+    def test_matches_dense_expectation(self, case):
+        name, theta, compiled, monos = case
+        code, a = _QUBIT_PRESETS[name], compiled.assignment
+        v0, v1 = _LOGICAL_BASES[name]
+        dense = Strategy(math.cos(theta) * v0 + math.sin(theta) * v1,
+                         canonical_realization(a))
+        exact = codeword_expectations(
+            BellPolynomial({mono: 1.0 for mono in monos}), a, code, theta)
+        for mono in monos:
+            assert abs(exact[mono] - _expectation(dense, mono)) <= 1e-12
+            if len(mono.factors) == 1:  # weight 1: outside the normalizer
+                assert exact[mono] == 0.0
+        # the untilted certificate is attained on every codeword
+        whole = codeword_expectations(compiled.poly, a, code, theta)
+        value = sum(c * whole[mono] for mono, c in compiled.poly.terms())
+        assert value == pytest.approx(compiled.bound, abs=1e-9)
+
+    def test_refuses_codes_outside_the_algebra(self, five_qubit):
+        poly = build_bell(default_certificate(five_qubit), five_qubit).poly
+        a = MeasurementAssignment(5, five_qubit.pair_sites)
+        swapped = replace(five_qubit, logical_x=five_qubit.logical_z)
+        with pytest.raises(InputError, match="not a k = 1 qubit"):
+            codeword_expectations(poly, a, swapped, 0.3)
+        with pytest.raises(InputError, match="code five_qubit has n = 5"):
+            codeword_expectations(poly, MeasurementAssignment(6, set()),
+                                  five_qubit, 0.3)
+
+
+def _dict_pauli_sum(poly, a):
+    """The Pauli sum as one dict comprehension per site, the reference for
+    ``verify._pauli_sum``'s term lists."""
+    site_words = {}
+    total = {}
+    for mono, coeff in poly.terms():
+        acc = {(0, 0): complex(coeff)}
+        for site, word in mono.factors:
+            if (site, word) not in site_words:
+                settings_ = verify._setting_paulis(a, site)
+                local = {(0, 0): 1.0}
+                for letter in word:
+                    nxt = {}
+                    for (x, z), c in local.items():
+                        for lx, lz, lc in settings_[letter]:
+                            key = (x ^ lx, z ^ lz)
+                            nxt[key] = nxt.get(key, 0) + (-1)**(z & lx) * lc * c
+                    local = nxt
+                site_words[site, word] = local
+            bit = 1 << (site - 1)
+            acc = {(x | bit * lx, z | bit * lz): c * lc
+                   for (x, z), c in acc.items()
+                   for (lx, lz), lc in site_words[site, word].items()}
+        for key, c in acc.items():
+            total[key] = total.get(key, 0) + c
+    return {key: c for key, c in total.items() if abs(c) > COEFF_TOL}
+
+
+@pytest.mark.parametrize("code", [*_QUBIT_PRESETS.values(), QRM15],
+                         ids=[*_QUBIT_PRESETS, "qrm15"])
+@pytest.mark.parametrize("tilt", [{}, {"theta": 0.3, "alpha0": 1.0, "mu": 0.7}],
+                         ids=["untilted", "tilted"])
+def test_pauli_sum_bit_identical_to_dict_version(code, tilt):
+    compiled = build_bell(default_certificate(code, **tilt), code)
+    got = verify._pauli_sum(compiled.poly, compiled.assignment)
+    want = _dict_pauli_sum(compiled.poly, compiled.assignment)
+    assert repr(list(got.items())) == repr(list(want.items()))
 
 
 def _brute_classical(poly):
