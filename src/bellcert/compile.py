@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .pauli import InputError, PauliWord, StabilizerCode, preset_data
-from .poly import (A0, A1, COEFF_TOL, BellPolynomial, MeasurementAssignment,
-                   Monomial)
+from .poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
 
 SOS_TOL = 1e-10
 
@@ -107,7 +106,7 @@ def substitute(word: PauliWord, asg: MeasurementAssignment) -> BellPolynomial:
         raise ValueError("only q=2 words translate to measurement settings")
     if word.phase != 0:
         raise CertificateError("operator words must be phase-free")
-    coeffs = {Monomial.identity(): 1.0}
+    poly = BellPolynomial.constant(1.0)
     for site, sym, _ in word.factors():
         if site > asg.n:
             raise ValueError(f"site {site} out of range 1..{asg.n}")
@@ -120,12 +119,12 @@ def substitute(word: PauliWord, asg: MeasurementAssignment) -> BellPolynomial:
             c = 1.0 / (2.0 * math.sin(asg.mu))
             factor = ((Monomial.single(site, A0), c), (Monomial.single(site, A1), -c))
         acc: dict[Monomial, float] = {}
-        for m1, c1 in coeffs.items():
+        for m1, c1 in poly.coeffs.items():
             for m2, c2 in factor:
                 mono = m1 * m2
                 acc[mono] = acc.get(mono, 0.0) + c1 * c2
-        coeffs = {m: c for m, c in acc.items() if abs(c) > COEFF_TOL}
-    return BellPolynomial(coeffs)
+        poly = BellPolynomial(acc)
+    return poly
 
 
 def build_tilted(theta: float, code: StabilizerCode,
@@ -133,9 +132,8 @@ def build_tilted(theta: float, code: StabilizerCode,
     """The tilted logical operator cos(2 theta) Z-bar + sin(2 theta) X-bar."""
     if not 0.0 <= theta <= math.pi / 2:
         raise CertificateError(f"theta={theta} outside [0, pi/2]")
-    zbar = substitute(code.logical_z, asg)
-    xbar = substitute(code.logical_x, asg)
-    return zbar.scale(math.cos(2 * theta)) + xbar.scale(math.sin(2 * theta))
+    return (substitute(code.logical_z, asg).scale(math.cos(2 * theta))
+            .add_scaled(substitute(code.logical_x, asg), math.sin(2 * theta)))
 
 
 @dataclass(frozen=True)
@@ -176,23 +174,24 @@ def build_bell(cert: SOSCertificate,
     else:
         tilted = BellPolynomial.zero()
 
-    total = BellPolynomial.zero()
+    cancellation = BellPolynomial()
     for a, sq in zip(cert.alphas, squares):
-        total = total + sq.scale(a)
-    cancellation = total - BellPolynomial.constant(cert.alpha_sum())
+        cancellation.add_scaled(sq, a)
+    cancellation.add_scaled(BellPolynomial.constant(cert.alpha_sum()), -1.0)
     reduced = cancellation.is_zero(_sos_tol(cert))
 
-    poly = BellPolynomial.zero()
+    poly = BellPolynomial()
     for a, s in zip(cert.alphas, subs):
-        poly = poly + s.scale(2.0 * a)
+        poly.add_scaled(s, 2.0 * a)
     if reduced:
         bound = cert.alpha0 + 2.0 * cert.alpha_sum()
     else:
         for a, sq in zip(cert.alphas, squares):
-            poly = poly - sq.scale(a)
+            poly.add_scaled(sq, -a)
         bound = cert.alpha0 + cert.alpha_sum()
     if cert.alpha0 > 0:
-        poly = poly + tilted.scale(2.0 * cert.alpha0) - tilted.square().scale(cert.alpha0)
+        poly.add_scaled(tilted, 2.0 * cert.alpha0)
+        poly.add_scaled(tilted.square(), -cert.alpha0)
 
     poly.meta.update({
         "code": cert.code_name,
@@ -217,12 +216,13 @@ def verify_sos(compiled: CompiledInequality) -> tuple[bool, BellPolynomial]:
     """
     cert = compiled.certificate
     one = BellPolynomial.constant(1.0)
-    sos = BellPolynomial.zero()
+    sos = BellPolynomial()
     if cert.alpha0 > 0:
-        sos = sos + (compiled.tilted - one).square().scale(cert.alpha0)
+        sos.add_scaled((compiled.tilted - one).square(), cert.alpha0)
     for a, s in zip(cert.alphas, compiled.operators):
-        sos = sos + (s - one).square().scale(a)
-    residual = (BellPolynomial.constant(compiled.bound) - compiled.poly) - sos
+        sos.add_scaled((s - one).square(), a)
+    residual = (BellPolynomial.constant(compiled.bound)
+                .add_scaled(compiled.poly, -1.0).add_scaled(sos, -1.0))
     return residual.is_zero(_sos_tol(cert)), residual
 
 

@@ -26,6 +26,10 @@ coefficient and the term order are bit-identical to that loop.  Only the
 keys that survive pruning become ``Monomial``s.  An operand holding a
 longer word is multiplied by that loop instead.
 
+Pruning has one rule, in ``BellPolynomial.add_scaled``, which every sum,
+scaling and construction goes through: a coefficient at or below
+``COEFF_TOL`` is dropped.  The coded product tests each key's sum alike.
+
 ``Monomial(factors)`` takes canonical factors only: (site, word) pairs with
 integer sites >= 1 in strictly increasing order, each word a nonempty
 reduced tuple of letters 0 (A0) and 1 (A1).  ``from_dict`` and ``parse``
@@ -240,11 +244,7 @@ class BellPolynomial:
                  meta: dict | None = None):
         self.coeffs: dict[Monomial, float] = {}
         self.meta: dict = dict(meta or {})
-        if coeffs:
-            acc = self.coeffs
-            for mono, c in coeffs.items():
-                acc[mono] = acc.get(mono, 0.0) + float(c)
-        self._prune()
+        self.add_scaled(coeffs or {})
 
     # -- construction helpers --------------------------------------------
 
@@ -260,53 +260,53 @@ class BellPolynomial:
     def monomial(cls, mono: Monomial, coeff: float = 1.0) -> "BellPolynomial":
         return cls({mono: coeff})
 
-    def _prune(self):
-        dead = [m for m, c in self.coeffs.items() if abs(c) <= COEFF_TOL]
-        for m in dead:
-            del self.coeffs[m]
-
     # -- ring operations ---------------------------------------------------
 
+    def add_scaled(self, other: "BellPolynomial | Mapping[Monomial, float]",
+                   weight: float = 1.0) -> "BellPolynomial":
+        """Add weight * other (a polynomial, self too, or a mapping) in place
+        and return self, dropping each scaled term, then each sum it touched,
+        at or below COEFF_TOL: the same floats and key order as scale-and-add."""
+        terms = other.coeffs if isinstance(other, BellPolynomial) else other
+        acc = self.coeffs
+        for mono, c in list(terms.items()) if terms is acc else terms.items():
+            c = float(c) * weight
+            if abs(c) > COEFF_TOL:
+                acc[mono] = total = acc.get(mono, 0.0) + c
+                if abs(total) <= COEFF_TOL:
+                    del acc[mono]
+        return self
+
     def __add__(self, other: "BellPolynomial") -> "BellPolynomial":
-        out = BellPolynomial(meta=self.meta)
-        acc = out.coeffs
-        acc.update(self.coeffs)
-        for mono, c in other.coeffs.items():
-            acc[mono] = acc.get(mono, 0.0) + c
-        out._prune()
-        return out
+        return BellPolynomial(self.coeffs, self.meta).add_scaled(other)
 
     def __sub__(self, other: "BellPolynomial") -> "BellPolynomial":
-        return self + other.scale(-1.0)
+        return BellPolynomial(self.coeffs, self.meta).add_scaled(other, -1.0)
 
     def scale(self, factor: float) -> "BellPolynomial":
-        return BellPolynomial({m: c * factor for m, c in self.coeffs.items()},
-                              self.meta)
+        return BellPolynomial(meta=self.meta).add_scaled(self, factor)
 
     def __mul__(self, other: "BellPolynomial") -> "BellPolynomial":
-        out = BellPolynomial()
         sites = sorted({site for poly in (self, other) for mono in poly.coeffs
                         for site, _ in mono.factors})
         shifts = {site: 8 * i for i, site in enumerate(sites)}
         left = _encode(self.coeffs, shifts)
         right = left if other is self else _encode(other.coeffs, shifts)
+        acc = {}
+        get = acc.get
         if left is None or right is None:
-            acc = out.coeffs
-            get = acc.get
             for m1, c1 in self.coeffs.items():
                 for m2, c2 in other.coeffs.items():
                     mono = m1 * m2
                     acc[mono] = get(mono, 0.0) + c1 * c2
-            out._prune()
-            return out
+            return BellPolynomial(acc)
         width = len(sites)
-        acc = {}
-        get = acc.get
         for a, c1 in left:
             a <<= 4
             for b, c2 in right:
                 key = (a | b).to_bytes(width, "little").translate(_PAIR_TABLE)
                 acc[key] = get(key, 0.0) + c1 * c2
+        out = BellPolynomial()
         for key, c in acc.items():
             if abs(c) <= COEFF_TOL:
                 continue

@@ -46,20 +46,21 @@ class Strategy:
 
     A strategy from ``from_code`` keeps its ``codeword`` (code, theta,
     assignment) instead of a state: estimates take each <m> from
-    ``verify.codeword_expectations``, and the 2^n state and the settings'
-    eigenbases are built only when first used, by ``sample_round`` say.
+    ``verify.codeword_expectations``; the 2^n state, the realization and
+    the eigenbases are built when first used, by ``sample_round`` say.
     """
 
-    def __init__(self, state: np.ndarray | None, realization: Realization,
-                 seed: int = 0,
+    def __init__(self, state: np.ndarray | None,
+                 realization: Realization | None, seed: int = 0,
                  codeword: tuple[StabilizerCode, float,
                                  MeasurementAssignment] | None = None):
-        self.realization, self.seed, self.codeword = realization, seed, codeword
-        n = realization.n
-        for site in range(1, n + 1):
-            if realization.dim(site) != 2:
-                raise InputError("sampling requires dimension-2 sites")
+        self.seed, self.codeword = seed, codeword
+        n = self.n = realization.n if codeword is None else codeword[2].n
         if codeword is None:
+            self.realization = realization
+            for site in range(1, n + 1):
+                if realization.dim(site) != 2:
+                    raise InputError("sampling requires dimension-2 sites")
             self.state = np.asarray(state, dtype=complex).reshape(-1)
             if self.state.shape[0] != 2**n:
                 raise InputError(f"state dimension {self.state.shape[0]} "
@@ -77,14 +78,14 @@ class Strategy:
         return math.cos(theta) * v0 + math.sin(theta) * v1
 
     @cached_property
+    def realization(self) -> Realization:
+        return canonical_realization(self.codeword[2])
+
+    @cached_property
     def _eigs(self) -> list[list[tuple[np.ndarray, np.ndarray]]]:
         """Per site and setting: (ascending eigenvalues, eigenvector columns)."""
         return [[np.linalg.eigh(self.realization.obs(site, setting))
                  for setting in (0, 1)] for site in range(1, self.n + 1)]
-
-    @property
-    def n(self) -> int:
-        return self.realization.n
 
     @classmethod
     def from_code(cls, code: StabilizerCode, theta: float = 0.0,
@@ -100,8 +101,7 @@ class Strategy:
         if asg.n != code.n:
             raise InputError(f"assignment on {asg.n} sites; code {code.name} "
                              f"has n = {code.n}")
-        return cls(None, canonical_realization(asg), seed,
-                   codeword=(code, theta, asg))
+        return cls(None, None, seed, codeword=(code, theta, asg))
 
 
 def sample_round(strategy: Strategy,

@@ -273,7 +273,7 @@ def _normalizer_coords(code: StabilizerCode, keys: Iterable[tuple[int, int]]
     rows = code.generators + (code.logical_x, code.logical_z)
     masks = [_symplectic_mask(w) for w in rows]
     for i, a in enumerate(masks):
-        if not rows[i].power(2).is_identity:
+        if (rows[i].phase + (a & a >> n).bit_count()) % 2:  # squares to -I
             return None
         for j, b in enumerate(masks):
             anticommute = ((a & b >> n) ^ (b & a >> n)).bit_count() & 1

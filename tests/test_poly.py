@@ -170,6 +170,60 @@ def test_polynomial_product_matches_nested_loop(p, q):
         assert list(out.coeffs.values()) == list(reference.values())
 
 
+def _old_scale(q, factor):
+    """BellPolynomial.scale as a new polynomial per call: the scaled terms
+    summed through the constructor, then pruned."""
+    acc = {}
+    for mono, c in q.items():
+        acc[mono] = acc.get(mono, 0.0) + float(c * factor)
+    return {m: c for m, c in acc.items() if abs(c) > COEFF_TOL}
+
+
+def _old_add(p, q):
+    """BellPolynomial.__add__ as a new polynomial per call: a copy of p
+    with q's terms added, then every sum pruned."""
+    acc = dict(p)
+    for mono, c in q.items():
+        acc[mono] = acc.get(mono, 0.0) + c
+    return {m: c for m, c in acc.items() if abs(c) > COEFF_TOL}
+
+
+def _same_floats(poly, reference):
+    """Equal keys in equal order, and bit-equal coefficients."""
+    return [(m, c.hex()) for m, c in poly.coeffs.items()] == \
+        [(m, c.hex()) for m, c in reference.items()]
+
+
+_weights = st.sampled_from((1.0, -1.0, 2.0, -0.5, 1e-12, -1e-12, 1e-13, 0.0)) \
+    | st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(st.tuples(_polynomials(), _weights), max_size=5), _polynomials())
+@example([(BellPolynomial.constant(1.0), 1.0), (BellPolynomial.constant(1.0), -1.0)],
+         BellPolynomial({_SINGLE_A0: 1.0, _SINGLE_A1: -2.0}))
+@example([(BellPolynomial({_SINGLE_A0: 0.5, _SINGLE_A1: 3.0}), 1e-12),
+          (BellPolynomial({_SINGLE_A0: -1.0}), 0.5)], BellPolynomial())
+def test_add_scaled_fold_matches_copy_per_term_fold(terms, p):
+    total, reference = BellPolynomial(), {}
+    for q, weight in terms:
+        assert total.add_scaled(q, weight) is total
+        reference = _old_add(reference, _old_scale(q.coeffs, weight))
+        assert _same_floats(total, reference)
+    for q, weight in terms:
+        assert _same_floats(p + q, _old_add(p.coeffs, q.coeffs))
+        assert _same_floats(p - q, _old_add(p.coeffs, _old_scale(q.coeffs, -1.0)))
+        assert _same_floats(p.scale(weight), _old_scale(p.coeffs, weight))
+    # other may be self: a sum it cancels is deleted without breaking the loop
+    for weight in (-1.0, 1.0, 0.5, 1e-13):
+        reference = _old_add(p.coeffs, _old_scale(p.coeffs, weight))
+        q = BellPolynomial(p.coeffs)
+        assert _same_floats(q.add_scaled(q, weight), reference)
+        q = BellPolynomial(p.coeffs)
+        assert _same_floats(q.add_scaled(q.coeffs, weight), reference)
+    assert len(p.add_scaled(p, -1.0)) == 0
+
+
 def test_terms_order_deterministic():
     p = BellPolynomial({
         Monomial.from_dict({2: (A0,)}): 1.0,

@@ -119,6 +119,20 @@ class TestEstimate:
         report = estimate_bell(strat, compiled.poly, 200_000)
         assert abs(report.estimate - compiled.bound) <= 5 * report.stderr
 
+    def test_realization_built_on_first_read(self, five_qubit, monkeypatch):
+        # an estimate on the codeword never reads the realization
+        built = []
+        monkeypatch.setattr(sim, "canonical_realization",
+                            lambda asg: built.append(asg)
+                            or canonical_realization(asg))
+        compiled = build_bell(default_certificate(five_qubit), five_qubit)
+        strat = Strategy.from_code(five_qubit, seed=9)
+        estimate_bell(strat, compiled.poly, 1000)
+        assert built == [] and strat.n == 5
+        sample_round(strat, {s: 0 for s in range(1, 6)})
+        assert built == [compiled.assignment]
+        assert strat.realization is strat.realization
+
     def test_zero_polynomial(self, five_qubit):
         strat = Strategy.from_code(five_qubit, seed=1)
         report = estimate_bell(strat, BellPolynomial(), 100)

@@ -254,6 +254,30 @@ def _random_codes(draw):
 
 
 class TestSectorRoute:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(_random_codes(), st.integers(0, 2**12 - 1), st.integers(0, 6),
+           st.integers(0, 3))
+    def test_involution_check_matches_word_square(self, case, s_sites, row,
+                                                  phase):
+        # S gates on the s_sites bits (X -> Y) put Y letters into the rows;
+        # every row gets a phase that squares it to I, then one row
+        # gets the drawn phase, so the code passes the other checks and
+        # fails exactly when that row's square is not I
+        code, _ = case
+        n = code.n
+        rows = []
+        for word in code.generators + (code.logical_x, code.logical_z):
+            z = tuple(zk ^ (xk & s_sites >> k) for k, (xk, zk)
+                      in enumerate(zip(word.x_exp, word.z_exp)))
+            words = [PauliWord(n, 2, word.x_exp, z, p) for p in range(4)]
+            rows.append(next(w for w in words if w.power(2).is_identity))
+        row %= len(rows)
+        rows[row] = replace(rows[row], phase=phase)
+        changed = replace(code, generators=tuple(rows[:-2]),
+                          logical_x=rows[-2], logical_z=rows[-1])
+        coords = verify._normalizer_coords(changed, [])
+        assert (coords is None) == (not rows[row].power(2).is_identity)
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(_random_codes(), st.floats(0.0, math.pi / 2))
     def test_matches_dense_route(self, case, theta):
