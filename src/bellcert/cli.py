@@ -74,6 +74,9 @@ def _inputs(args):
         except (TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed polynomial file: {exc}") from exc
     if code is None:
+        for flag, default in _CERT_DEFAULTS.items():
+            if getattr(args, flag) != default:
+                raise InputError(f"--code chsh has a fixed certificate: no --{flag}")
         compiled = compiler.build_bell(compiler.chsh_certificate())
     else:
         cert = compiler.default_certificate(
@@ -290,14 +293,19 @@ def _add_code_flags(p: argparse.ArgumentParser):
     which.add_argument("--code-file", help="JSON code document")
 
 
+# the certificate flags' defaults, the only values --code chsh accepts
+_CERT_DEFAULTS = {"theta": 0.0, "alpha0": 0.0, "alpha": None,
+                  "mu": math.pi / 4}
+
+
 def _add_cert_flags(p: argparse.ArgumentParser):
     _add_code_flags(p)
-    p.add_argument("--theta", type=float, default=0.0,
+    p.add_argument("--theta", type=float, default=_CERT_DEFAULTS["theta"],
                    help="tilt angle in [0, pi/2]")
-    p.add_argument("--alpha0", type=float, default=0.0,
+    p.add_argument("--alpha0", type=float, default=_CERT_DEFAULTS["alpha0"],
                    help="tilt weight (0 certifies the whole codespace)")
     p.add_argument("--alpha", help="comma list of positive operator weights")
-    p.add_argument("--mu", type=float, default=math.pi / 4,
+    p.add_argument("--mu", type=float, default=_CERT_DEFAULTS["mu"],
                    help="pair-site measurement angle")
     p.add_argument("--no-extras", action="store_true",
                    help="drop the preset's extra operators")

@@ -213,9 +213,8 @@ def codespace_basis(code: StabilizerCode) -> np.ndarray:
     Seeded random probes pass through the product projector
     prod_i (1/q) sum_t S_i^t, m*(q-1) word applications in all, and an SVD
     orthonormalizes the result.  Raises SizeLimitError above MAX_DENSE_DIM,
-    and ValueError when the projected rank is not q^k or a basis column is
-    not fixed by some generator, which is how generators that do not
-    commute, or whose q-th power is not I, show.
+    and ValueError, a numerical guard, when the projected rank is not q^k or
+    a basis column is not fixed by some generator.
     """
     q, dim, want = code.q, code.q**code.n, code.q**code.k
     if dim > MAX_DENSE_DIM:
@@ -240,13 +239,30 @@ def codespace_basis(code: StabilizerCode) -> np.ndarray:
     return basis
 
 
+def _power_q_is_identity(word: PauliWord) -> bool:
+    """Whether word^q = I exactly: (X^x Z^z)^q = omega^(x z q (q - 1) / 2)
+    at each site, so (tau^p X^x Z^z)^q = tau^(q (p + (q - 1) sum_k x_k z_k)),
+    which is I exactly when p + (q - 1) sum_k x_k z_k is even."""
+    cross = sum(x * z for x, z in zip(word.x_exp, word.z_exp))
+    return (word.phase + (word.q - 1) * cross) % 2 == 0
+
+
 # ---------------------------------------------------------------------------
 # Stabilizer codes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class StabilizerCode:
-    """A stabilizer code: commuting generators plus one logical X/Z pair."""
+    """A stabilizer code: commuting generators plus one logical X/Z pair.
+
+    Construction checks the code's symplectic algebra and raises
+    CodeValidationError at the first invariant it breaks.  The checks imply
+    a codespace of dimension q^k with no dense probe: the m independent
+    generators, each with W^q = I, span a group G of q^m words in which
+    only I has a zero exponent vector.  The projector onto their joint +1
+    eigenspace is P = q^-m sum_{g in G} g, every g != I is traceless, and
+    so tr P = q^(n - m) = q^k.
+    """
 
     name: str
     n: int
@@ -260,6 +276,48 @@ class StabilizerCode:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "pair_sites", frozenset(int(s) for s in self.pair_sites))
+        n, q, gens = self.n, self.q, self.generators
+        logicals = ((self.logical_x, "logical_x"), (self.logical_z, "logical_z"))
+        if not _is_prime(q):
+            raise CodeValidationError(f"local dimension q={q} must be prime")
+        for w, label in [*((g, "generator") for g in gens), *logicals]:
+            if w.n != n or w.q != q:
+                raise CodeValidationError(f"{label} size/modulus mismatch")
+        for s in self.pair_sites:
+            if not 1 <= s <= n:
+                raise CodeValidationError(f"pair site {s} out of range 1..{n}")
+        m = len(gens)
+        for i in range(m):
+            for j in range(i + 1, m):
+                e = comm_exponent(gens[i], gens[j])
+                if e != 0:
+                    raise CodeValidationError(
+                        f"generators not Abelian: S_{i + 1}, S_{j + 1} "
+                        f"have commutation exponent {e}")
+        for i, g in enumerate(gens):
+            if not _power_q_is_identity(g):
+                raise CodeValidationError(
+                    f"generator S_{i + 1} does not satisfy S^q = I exactly "
+                    "(no +1 eigenspace)")
+        for w, label in logicals:
+            if not _power_q_is_identity(w):
+                raise CodeValidationError(f"{label} does not satisfy L^q = I exactly")
+        rank = symplectic_rank(gens, q)
+        if rank != m:
+            raise CodeValidationError(f"generators dependent: rank {rank} < {m}")
+        if n - rank != self.k:
+            raise CodeValidationError(
+                f"declared k={self.k} inconsistent with n - rank = {n - rank}")
+        for i, g in enumerate(gens):
+            for w, label in logicals:
+                if comm_exponent(w, g) != 0:
+                    raise CodeValidationError(
+                        f"{label} does not commute with S_{i + 1}")
+        # not for q > 2: the five-qudit code's transversal logicals commute
+        # with each other when q divides n
+        if (q == 2 and self.k > 0
+                and comm_exponent(self.logical_x, self.logical_z) != 1):
+            raise CodeValidationError("logical_x and logical_z must anticommute")
 
     def to_json(self) -> dict:
         return {
@@ -331,61 +389,6 @@ def stabilizer_group(generators: Sequence[PauliWord]) -> list[PauliWord]:
     return list(seen.values())
 
 
-def validate_code(code: StabilizerCode) -> StabilizerCode:
-    """Check all structural invariants; raises CodeValidationError on failure."""
-    n, q = code.n, code.q
-    if not _is_prime(q):
-        raise CodeValidationError(f"local dimension q={q} must be prime")
-    for g in code.generators:
-        if g.n != n or g.q != q:
-            raise CodeValidationError("generator size/modulus mismatch")
-    for w, label in ((code.logical_x, "logical_x"), (code.logical_z, "logical_z")):
-        if w.n != n or w.q != q:
-            raise CodeValidationError(f"{label} size/modulus mismatch")
-    for s in code.pair_sites:
-        if not 1 <= s <= n:
-            raise CodeValidationError(f"pair site {s} out of range 1..{n}")
-    m = len(code.generators)
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = comm_exponent(code.generators[i], code.generators[j])
-            if e != 0:
-                raise CodeValidationError(
-                    f"generators not Abelian: S_{i + 1}, S_{j + 1} "
-                    f"have commutation exponent {e}")
-    for i, g in enumerate(code.generators):
-        if not g.power(q).is_identity:
-            raise CodeValidationError(
-                f"generator S_{i + 1} does not satisfy S^q = I exactly "
-                "(no +1 eigenspace)")
-    for w, label in ((code.logical_x, "logical_x"), (code.logical_z, "logical_z")):
-        if not w.power(q).is_identity:
-            raise CodeValidationError(f"{label} does not satisfy L^q = I exactly")
-    rank = symplectic_rank(code.generators, q)
-    if rank != m:
-        raise CodeValidationError(f"generators dependent: rank {rank} < {m}")
-    if n - rank != code.k:
-        raise CodeValidationError(
-            f"declared k={code.k} inconsistent with n - rank = {n - rank}")
-    for i, g in enumerate(code.generators):
-        if comm_exponent(code.logical_x, g) != 0:
-            raise CodeValidationError(f"logical_x does not commute with S_{i + 1}")
-        if comm_exponent(code.logical_z, g) != 0:
-            raise CodeValidationError(f"logical_z does not commute with S_{i + 1}")
-    if q == 2 and code.k > 0:
-        if comm_exponent(code.logical_x, code.logical_z) != 1:
-            raise CodeValidationError("logical_x and logical_z must anticommute")
-    # For q > 2 the transversal logicals of the cyclic five-qudit code commute
-    # with each other when q divides n, so no pair-exponent constraint is
-    # enforced beyond commuting with the generators.
-    if q**n <= 2**10:
-        try:
-            codespace_basis(code)
-        except ValueError as exc:
-            raise CodeValidationError(str(exc)) from exc
-    return code
-
-
 # ---------------------------------------------------------------------------
 # Presets
 # ---------------------------------------------------------------------------
@@ -433,8 +436,9 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
+@functools.lru_cache(maxsize=16)
 def code_preset(name: str, q: int | None = None) -> StabilizerCode:
-    """Return a named code preset.
+    """Return a named code preset, built once per (name, q) and cached.
 
     ``five_qudit`` takes the local dimension either as the ``q`` argument or
     inline as ``five_qudit:3``; it defaults to q=3.  The qubit presets take
@@ -466,14 +470,6 @@ def code_preset(name: str, q: int | None = None) -> StabilizerCode:
                           pair_sites=pair_sites)
 
 
-@functools.lru_cache(maxsize=16)
-def _reference_preset(base: str, q: int) -> StabilizerCode | None:
-    try:
-        return code_preset(base, q=q)
-    except ValueError:  # a q the preset does not take
-        return None
-
-
 def preset_data(code: StabilizerCode) -> PresetData | None:
     """The published data of the preset that ``code`` equals, else None.
 
@@ -481,9 +477,11 @@ def preset_data(code: StabilizerCode) -> PresetData | None:
     logical or a pair site is another code and gets no preset data.
     """
     base = code.name.partition(":")[0]
-    if base not in _PRESETS or code != _reference_preset(base, code.q):
+    try:
+        preset = code_preset(base, q=code.q)
+    except CodeValidationError:  # no such preset, or a q it does not take
         return None
-    return _PRESETS[base][2]
+    return _PRESETS[base][2] if code == preset else None
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +521,9 @@ def load_code(document: Mapping | str) -> StabilizerCode:
         raise CodeValidationError("n must be positive")
     gens = tuple(_word_from_json(g, n, q, f"generator {i + 1}")
                  for i, g in enumerate(gen_docs))
-    code = StabilizerCode(
+    return StabilizerCode(
         name, n, k, q, gens,
         logical_x=_word_from_json(x_doc, n, q, "logical_x"),
         logical_z=_word_from_json(z_doc, n, q, "logical_z"),
         pair_sites=pair_sites,
     )
-    return validate_code(code)

@@ -213,14 +213,16 @@ def _expand(mono: Monomial, coeff: complex, asg: MeasurementAssignment,
 def _pauli_sum(poly: BellPolynomial,
                asg: MeasurementAssignment) -> dict[tuple[int, int], complex]:
     """poly at the canonical realization as {(x mask, z mask): c}, the sum
-    of its monomials' ``_expand`` terms; collected coefficients at or below
-    COEFF_TOL are dropped."""
+    of its monomials' ``_expand`` terms.  Collected coefficients at or below
+    COEFF_TOL times max(1, largest collected |c|) are dropped: the rounding
+    residue of a cancellation grows with the weights."""
     site_words: dict = {}
     total: dict[tuple[int, int], complex] = {}
     for mono, coeff in poly.terms():
         for x, z, c in _expand(mono, coeff, asg, site_words):
             total[x, z] = total.get((x, z), 0) + c
-    return {key: c for key, c in total.items() if abs(c) > COEFF_TOL}
+    cut = COEFF_TOL * max([1.0, *map(abs, total.values())])
+    return {key: c for key, c in total.items() if abs(c) > cut}
 
 
 def _gf2_coords(vectors: Iterable[int]) -> tuple[list[int], int]:
@@ -263,25 +265,16 @@ def _normalizer_coords(code: StabilizerCode, keys: Iterable[tuple[int, int]]
     keys, as (a, b, i^(-p)), or None for a word outside the normalizer,
     which anticommutes with some generator.
 
-    Returns None unless the code is a qubit code with k = 1 whose generators
-    and logicals are independent involutions with the commutation of a
-    stabilizer code.
+    Returns None unless the code is a qubit code with k = 1.  Construction
+    makes its generators and logicals independent involutions with the
+    commutation of a stabilizer code, the first m + 2 vectors of the span.
     """
     n, m = code.n, len(code.generators)
-    if code.q != 2 or code.k != 1 or m != n - 1:
+    if code.q != 2 or code.k != 1:
         return None
     rows = code.generators + (code.logical_x, code.logical_z)
-    masks = [_symplectic_mask(w) for w in rows]
-    for i, a in enumerate(masks):
-        if (rows[i].phase + (a & a >> n).bit_count()) % 2:  # squares to -I
-            return None
-        for j, b in enumerate(masks):
-            anticommute = ((a & b >> n) ^ (b & a >> n)).bit_count() & 1
-            if anticommute != ({i, j} == {m, m + 1}):
-                return None
-    coords, _ = _gf2_coords(masks + [x | z << n for x, z in keys])
-    if coords[:m + 2] != [1 << i for i in range(m + 2)]:
-        return None
+    coords, _ = _gf2_coords([_symplectic_mask(w) for w in rows]
+                            + [x | z << n for x, z in keys])
     out = []
     for mix in coords[m + 2:]:
         if mix >> m + 2:  # outside the rows' span: a new basis vector
@@ -308,15 +301,16 @@ def sector_spectrum(poly: BellPolynomial, asg: MeasurementAssignment,
     normalizer.  Refuses more than MAX_SECTORS sectors.
     """
     n, m = code.n, len(code.generators)
-    if (code.q != 2 or code.k != 1 or m != n - 1 or asg.n != n
-            or poly.max_site() > n):
+    if asg.n != n or poly.max_site() > n:
+        return None
+    terms = _pauli_sum(poly, asg)
+    coords = _normalizer_coords(code, terms)
+    if coords is None:
         return None
     if 1 << m > MAX_SECTORS:
         raise SizeLimitError(f"{1 << m} syndrome sectors exceed the sector "
                              f"cap {MAX_SECTORS}")
-    terms = _pauli_sum(poly, asg)
-    coords = _normalizer_coords(code, terms)
-    if coords is None or None in coords:
+    if None in coords:
         return None
     weights = np.zeros((1 << m, 4), dtype=complex)
     for (a, b, phase), c in zip(coords, terms.values()):
@@ -345,9 +339,7 @@ def codeword_expectations(poly: BellPolynomial, asg: MeasurementAssignment,
     keys = dict.fromkeys((x, z) for _, terms in expanded for x, z, _ in terms)
     coords = _normalizer_coords(code, keys)
     if coords is None:
-        raise InputError(f"code {code.name} is not a k = 1 qubit stabilizer "
-                         "code with independent involutive generators and "
-                         "logicals")
+        raise InputError(f"code {code.name} is not a k = 1 qubit code")
     sigma = (1.0, math.sin(2 * theta), math.cos(2 * theta), 0.0)
     value = {key: 0.0 if coord is None else coord[2] * sigma[coord[1]]
              for key, coord in zip(keys, coords)}

@@ -407,6 +407,46 @@ class TestVerify:
         capsys.readouterr()
         assert calls == []
 
+    @pytest.mark.parametrize("scale", [1e6, 1e7])
+    def test_large_weights_take_the_sector_route(self, scale, monkeypatch,
+                                                 capsys):
+        # a cancellation's rounding residue grows with the weights, and a
+        # word kept for it would send the check to the dense matrix
+        calls = []
+        materialize = verify.materialize
+        monkeypatch.setattr(verify, "materialize",
+                            lambda *a: calls.append(a) or materialize(*a))
+        w = f"{scale:g}"
+        for code, ops in (("five_qubit", 4), ("steane", 8), ("shor", 9)):
+            for tilt in ([], ["--theta", "0.3", "--alpha0", w]):
+                argv = (["verify", "all", "--code", code,
+                         "--alpha", ",".join([w] * ops)] + tilt)
+                assert run(argv) == 0, argv
+        argv = ["verify", "spectral", "--code-file", str(QRM15),
+                "--theta", "0.3", "--alpha0", w, "--alpha", ",".join([w] * 14)]
+        assert run(argv) == 0, argv
+        capsys.readouterr()
+        assert calls == []
+
+    @pytest.mark.parametrize("command", [["bell", "build"], ["verify", "all"]])
+    @pytest.mark.parametrize("flag, value", [
+        ("--theta", "0.3"), ("--alpha0", "1"), ("--alpha", "2"),
+        ("--mu", "0.7"), ("--theta", "nan")])
+    def test_chsh_refuses_certificate_flags(self, command, flag, value,
+                                            capsys):
+        assert run(command + ["--code", "chsh", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --code chsh has a fixed certificate: "
+                                f"no {flag}\n")
+
+    def test_chsh_accepts_certificate_flags_at_their_defaults(self, capsys):
+        assert run(["verify", "all", "--code", "chsh"]) == 0
+        plain = capsys.readouterr().out
+        assert run(["verify", "all", "--code", "chsh", "--theta", "0",
+                    "--alpha0", "0", "--mu", repr(math.pi / 4)]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_sweep_needs_spectral_check(self, capsys):
         for check in ("all", "sos", "classical"):
             assert run(["verify", check, "--code", "shor",

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
+from bellcert import pauli
 from bellcert.pauli import (CodeValidationError, PauliWord, SizeLimitError,
                             StabilizerCode, apply_word, code_preset,
                             codespace_basis, comm_exponent, load_code, mul,
-                            preset_data, stabilizer_group, validate_code)
+                            preset_data, stabilizer_group)
 from bellcert.verify import principal_angle_sin
 
 
@@ -95,7 +98,6 @@ def test_presets(name, n_gens, n, pair):
     assert len(code.generators) == n_gens
     assert code.n == n
     assert code.pair_sites == frozenset(pair)
-    validate_code(code)
 
 
 def test_preset_generators_commute():
@@ -123,11 +125,107 @@ def test_preset_codespace_basis(name):
 
 
 def test_codespace_basis_rejects_anticommuting_generators():
+    # such generators are refused when the code is built, so no
+    # codespace_basis call ever sees them
     x1 = PauliWord.from_factors(2, [(1, "X", 1)])
     z1 = PauliWord.from_factors(2, [(1, "Z", 1)])
-    code = StabilizerCode("bad", 2, 1, 2, (x1, z1), logical_x=x1, logical_z=z1)
-    with pytest.raises(ValueError):
-        codespace_basis(code)
+    with pytest.raises(CodeValidationError, match="not Abelian: S_1, S_2"):
+        StabilizerCode("bad", 2, 1, 2, (x1, z1), logical_x=x1, logical_z=z1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.data())
+def test_closed_form_order_check_matches_power(q, data):
+    n = data.draw(st.integers(1, 4))
+    exps = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    word = PauliWord(n, q, tuple(data.draw(exps)), tuple(data.draw(exps)),
+                     data.draw(st.integers(0, 2 * q - 1)))
+    assert pauli._power_q_is_identity(word) == word.power(q).is_identity
+
+
+def test_large_qudit_preset_builds_without_q_fold_products(monkeypatch):
+    # W^q = I is checked in closed form, not by a q-fold product
+    calls = []
+    monkeypatch.setattr(pauli, "mul",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    code = code_preset.__wrapped__("five_qudit:16381")
+    assert code.q == 16381
+    assert len(calls) <= code.n * len(code.generators)
+
+
+def _doc(n=1, k=0, q=2, generators=(), logical_x=None, logical_z=None,
+         pair_sites=()):
+    blank = {"x": [0] * n, "z": [0] * n, "phase": 0}
+    return {"name": "bad", "n": n, "k": k, "q": q,
+            "generators": [dict(zip(("x", "z", "phase"), g))
+                           for g in generators],
+            "logical_x": blank if logical_x is None
+            else dict(zip(("x", "z", "phase"), logical_x)),
+            "logical_z": blank if logical_z is None
+            else dict(zip(("x", "z", "phase"), logical_z)),
+            "pair_sites": list(pair_sites)}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_doc(q=4), "local dimension q=4 must be prime"),
+    (_doc(pair_sites=[2]), "pair site 2 out of range 1..1"),
+    (_doc(generators=[([1], [0], 0), ([0], [1], 0)]),
+     "generators not Abelian: S_1, S_2 have commutation exponent 1"),
+    (_doc(generators=[([1], [1], 0)]),
+     "generator S_1 does not satisfy S^q = I exactly (no +1 eigenspace)"),
+    (_doc(logical_x=([0], [0], 1)), "logical_x does not satisfy L^q = I exactly"),
+    (_doc(logical_z=([0], [1], 3)), "logical_z does not satisfy L^q = I exactly"),
+    (_doc(n=2, k=1, generators=[([1, 1], [0, 0], 0), ([1, 1], [0, 0], 2)]),
+     "generators dependent: rank 1 < 2"),
+    (_doc(k=1, generators=[([0], [1], 0)]),
+     "declared k=1 inconsistent with n - rank = 0"),
+    (_doc(generators=[([0], [1], 0)], logical_x=([1], [0], 0)),
+     "logical_x does not commute with S_1"),
+    (_doc(generators=[([0], [1], 0)], logical_z=([1], [0], 0)),
+     "logical_z does not commute with S_1"),
+    (_doc(k=1), "logical_x and logical_z must anticommute"),
+], ids=["q", "pair-site", "abelian", "generator-order", "logical_x-order",
+        "logical_z-order", "dependent", "k", "logical_x-commute",
+        "logical_z-commute", "anticommute"])
+def test_direct_construction_refuses_as_load_code(doc, message):
+    with pytest.raises(CodeValidationError) as loaded:
+        load_code(doc)
+    n, q = doc["n"], doc["q"]
+
+    def word(w):
+        return PauliWord(n, q, w["x"], w["z"], w["phase"])
+
+    with pytest.raises(CodeValidationError) as built:
+        StabilizerCode(doc["name"], n, doc["k"], q,
+                       tuple(word(g) for g in doc["generators"]),
+                       word(doc["logical_x"]), word(doc["logical_z"]),
+                       frozenset(doc["pair_sites"]))
+    assert str(loaded.value) == str(built.value) == message
+
+
+@pytest.mark.parametrize("field", ["generators", "logical_x", "logical_z"])
+def test_direct_construction_refuses_size_mismatch(field):
+    z2 = PauliWord.from_factors(2, [(2, "Z", 1)])
+    x1, z1 = (PauliWord.from_factors(2, [(1, s, 1)]) for s in "XZ")
+    words = {"generators": (z2,), "logical_x": x1, "logical_z": z1}
+    words[field] = (PauliWord.identity(3) if field != "generators"
+                    else (PauliWord.identity(2, q=3),))
+    label = "generator" if field == "generators" else field
+    with pytest.raises(CodeValidationError,
+                       match=f"^{label} size/modulus mismatch$"):
+        StabilizerCode("bad", 2, 1, 2, words["generators"],
+                       words["logical_x"], words["logical_z"])
+
+
+def test_load_code_builds_no_dense_state(monkeypatch):
+    # the algebra decides validity: no codespace probe, no word applied
+    def refuse(*args):
+        raise AssertionError("dense work while loading a code")
+
+    for name in ("codespace_basis", "apply_word"):
+        monkeypatch.setattr(pauli, name, refuse)
+    for name in ("five_qubit", "steane", "shor", "five_qudit:3"):
+        assert load_code(code_preset(name).to_json()) == code_preset(name)
 
 
 def test_projector_rank_matches_numerics(five_qubit):

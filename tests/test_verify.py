@@ -7,13 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellcert import verify
 from bellcert.compile import (SOSCertificate, build_bell, chsh_certificate,
                               chsh_polynomial, default_certificate, substitute)
-from bellcert.pauli import (InputError, PauliWord, SizeLimitError,
-                            StabilizerCode, code_preset, load_code)
+from bellcert.pauli import (CodeValidationError, InputError, PauliWord,
+                            SizeLimitError, StabilizerCode, apply_word,
+                            code_preset, load_code)
 from bellcert.poly import (A0, A1, COEFF_TOL, BellPolynomial,
                           MeasurementAssignment, Monomial)
 from bellcert.sim import Strategy, _expectation
@@ -253,6 +254,26 @@ def _random_codes(draw):
     return load_code(code.to_json()), alphas
 
 
+CODE422 = load_code((Path(__file__).parent / "fixtures" / "code422.json")
+                    .read_text())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_random_codes())
+@example((CODE422, None))
+@example((code_preset("five_qudit:3"), None))
+@example((code_preset("five_qudit:5"), None))
+def test_codespace_basis_has_q_k_columns_fixed_by_every_generator(case):
+    # the q^k dimension that construction implies, with no dense probe
+    code, _ = case
+    basis = codespace_basis(code)
+    assert basis.shape == (code.q**code.n, code.q**code.k)
+    assert np.abs(basis.conj().T @ basis
+                  - np.eye(basis.shape[1])).max() <= 1e-10
+    for g in code.generators:
+        assert np.abs(apply_word(g, basis) - basis).max() <= 1e-9
+
+
 class TestSectorRoute:
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(_random_codes(), st.integers(0, 2**12 - 1), st.integers(0, 6),
@@ -261,8 +282,8 @@ class TestSectorRoute:
                                                   phase):
         # S gates on the s_sites bits (X -> Y) put Y letters into the rows;
         # every row gets a phase that squares it to I, then one row
-        # gets the drawn phase, so the code passes the other checks and
-        # fails exactly when that row's square is not I
+        # gets the drawn phase, so the code passes the other checks and is
+        # refused at construction exactly when that row's square is not I
         code, _ = case
         n = code.n
         rows = []
@@ -273,10 +294,16 @@ class TestSectorRoute:
             rows.append(next(w for w in words if w.power(2).is_identity))
         row %= len(rows)
         rows[row] = replace(rows[row], phase=phase)
-        changed = replace(code, generators=tuple(rows[:-2]),
-                          logical_x=rows[-2], logical_z=rows[-1])
-        coords = verify._normalizer_coords(changed, [])
-        assert (coords is None) == (not rows[row].power(2).is_identity)
+
+        def changed():
+            return replace(code, generators=tuple(rows[:-2]),
+                           logical_x=rows[-2], logical_z=rows[-1])
+
+        if rows[row].power(2).is_identity:
+            assert verify._normalizer_coords(changed(), []) == []
+        else:
+            with pytest.raises(CodeValidationError, match="= I exactly"):
+                changed()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(_random_codes(), st.floats(0.0, math.pi / 2))
@@ -380,23 +407,31 @@ class TestSectorRoute:
         assert report.subspace_distance is None
         assert not report.passed
 
-    @pytest.mark.parametrize("variant", [
-        "five_qudit:3", "i_times_s1", "commuting_logicals"])
+    @pytest.mark.parametrize("variant, refusal", [
+        ("five_qudit:3", None),
+        ("i_times_s1", "generator S_1 does not satisfy S\\^q = I"),
+        ("commuting_logicals", "must anticommute"),
+    ], ids=["five_qudit:3", "i_times_s1", "commuting_logicals"])
     def test_codes_outside_the_sector_form_return_none(self, five_qubit,
-                                                       variant):
-        # a qudit code, a generator that squares to -I, logicals that commute
+                                                       variant, refusal):
+        # a qudit code takes the dense route; a generator that squares to
+        # -I and logicals that commute are refused when the code is built
         s1 = five_qubit.generators[0]
-        code = {
+        build = {
             "five_qudit:3": lambda: code_preset("five_qudit:3"),
             "i_times_s1": lambda: replace(five_qubit, generators=(
                 PauliWord(5, 2, s1.x_exp, s1.z_exp, 1),)
                 + five_qubit.generators[1:]),
             "commuting_logicals": lambda: replace(
                 five_qubit, logical_x=five_qubit.logical_z),
-        }[variant]()
+        }[variant]
+        if refusal is not None:
+            with pytest.raises(CodeValidationError, match=refusal):
+                build()
+            return
         compiled = build_bell(default_certificate(five_qubit), five_qubit)
         assert sector_spectrum(compiled.poly, compiled.assignment,
-                               code) is None
+                               build()) is None
 
 
 QRM15 = load_code((Path(__file__).parent / "fixtures" / "qrm15.json")
@@ -448,10 +483,12 @@ class TestCodewordExpectations:
 
     def test_refuses_codes_outside_the_algebra(self, five_qubit):
         poly = build_bell(default_certificate(five_qubit), five_qubit).poly
-        a = MeasurementAssignment(5, five_qubit.pair_sites)
-        swapped = replace(five_qubit, logical_x=five_qubit.logical_z)
-        with pytest.raises(InputError, match="not a k = 1 qubit"):
-            codeword_expectations(poly, a, swapped, 0.3)
+        with pytest.raises(CodeValidationError, match="must anticommute"):
+            replace(five_qubit, logical_x=five_qubit.logical_z)
+        poly422 = build_bell(default_certificate(CODE422), CODE422).poly
+        with pytest.raises(InputError, match="code code422 is not a k = 1"):
+            codeword_expectations(poly422, MeasurementAssignment(4, set()),
+                                  CODE422, 0.3)
         with pytest.raises(InputError, match="code five_qubit has n = 5"):
             codeword_expectations(poly, MeasurementAssignment(6, set()),
                                   five_qubit, 0.3)
