@@ -62,6 +62,12 @@ def _inputs(args):
     """(code, compiled, poly) a command acts on: code is None for the CHSH
     fixture or a bare --poly-file, compiled is None for any --poly-file."""
     poly_file = getattr(args, "poly_file", None)
+    fixed = ("--poly-file gives the polynomial" if poly_file
+             else "--code chsh has a fixed certificate" if args.code == "chsh"
+             else None)
+    for flag, default in _CERT_DEFAULTS.items():
+        if fixed and getattr(args, flag) != default:
+            raise InputError(f"{fixed}: no --{flag.replace('_', '-')}")
     code = None
     # a lone --poly-file needs no code; with neither, _load_code_arg refuses
     if args.code != "chsh" and (args.code or args.code_file or not poly_file):
@@ -74,9 +80,6 @@ def _inputs(args):
         except (TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed polynomial file: {exc}") from exc
     if code is None:
-        for flag, default in _CERT_DEFAULTS.items():
-            if getattr(args, flag) != default:
-                raise InputError(f"--code chsh has a fixed certificate: no --{flag}")
         compiled = compiler.build_bell(compiler.chsh_certificate())
     else:
         cert = compiler.default_certificate(
@@ -293,9 +296,9 @@ def _add_code_flags(p: argparse.ArgumentParser):
     which.add_argument("--code-file", help="JSON code document")
 
 
-# the certificate flags' defaults, the only values --code chsh accepts
+# the certificate flags' defaults: all that chsh and --poly-file accept
 _CERT_DEFAULTS = {"theta": 0.0, "alpha0": 0.0, "alpha": None,
-                  "mu": math.pi / 4}
+                  "mu": math.pi / 4, "no_extras": False}
 
 
 def _add_cert_flags(p: argparse.ArgumentParser):

@@ -4,16 +4,15 @@ Outputs are deterministic (fixed summation order, LAPACK Hermitian
 eigensolver).  Codespaces come from ``pauli.codespace_basis``: seeded random
 probes passed through the stabilizer product projector prod_i (1/q) sum_t S_i^t.
 
-The self-test check works per syndrome sector.  At the canonical realization
-every setting is a Pauli combination, so a compiled polynomial is a sum of
-Pauli words; for a qubit code with k = 1 each word in the normalizer is
-i^(-p) S^a Xbar^bx Zbar^bz, which acts on the sector with syndrome s as
-i^(-p) (-1)^(a.s) times a 2 x 2 logical Pauli.  One batched eigh over the 2^(n-1)
-blocks gives the whole spectrum, and the same coordinates give each
-monomial's exact expectation on a tilted codeword (``codeword_expectations``).
-Polynomials without a code, random realizations and words outside the
-normalizer use the dense route instead: ``materialize`` builds the
-2^n x 2^n matrix and ``max_eig`` diagonalizes it.
+Qubit stabilizer questions are answered in the phase-exact GF(2) algebra
+(``_span_phases``), with no 2^n state.  A derived fact holds on the codespace
+exactly when its word is a signed generator product (``model_check_deduction``).
+At the canonical realization a compiled polynomial is a sum of Pauli words;
+for k = 1 a normalizer word i^(-p) S^a Xbar^bx Zbar^bz acts on the syndrome-s
+sector as i^(-p) (-1)^(a.s) times a 2 x 2 logical Pauli: one batched eigh
+gives the spectrum, the same coordinates each monomial's expectation on a
+tilted codeword.  Other polynomials, realizations and words take the dense
+route (``materialize``, ``max_eig``).
 """
 
 from __future__ import annotations
@@ -21,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .pauli import (MAX_MATRIX_DIM, InputError, PauliWord, SizeLimitError,
-                    StabilizerCode, apply_word, code_preset, codespace_basis, mul)
+                    StabilizerCode, apply_word, code_preset, codespace_basis)
 from .poly import (COEFF_TOL, BellPolynomial, MeasurementAssignment,
                    Monomial)
 from .compile import CompiledInequality, SOSCertificate, build_bell
@@ -253,37 +252,44 @@ def _walsh(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symplectic_mask(word: PauliWord) -> int:
-    x = sum(bit << k for k, bit in enumerate(word.x_exp))
-    z = sum(bit << k for k, bit in enumerate(word.z_exp))
-    return x | z << word.n
+def _xz_masks(word: PauliWord) -> tuple[int, int]:
+    return tuple(sum(bit << k for k, bit in enumerate(exps))
+                 for exps in (word.x_exp, word.z_exp))
+
+
+def _span_phases(n: int, rows: Sequence[PauliWord],
+                 keys: Iterable[tuple[int, int]]) -> list[tuple[int, int] | None]:
+    """(mix, p) for each (x, z) of keys, with X^x Z^z = i^(-p) times the
+    product, in row order, of the rows whose bits mix sets; None outside
+    the rows' span.  Rows must be independent qubit words."""
+    rows = [(*_xz_masks(w), w.phase) for w in rows]
+    coords, _ = _gf2_coords([x | z << n for x, z, _ in rows]
+                            + [x | z << n for x, z in keys])
+
+    def phase(mix):  # Z^z X^rx = (-1)^|z & rx| X^rx Z^z
+        z = p = 0
+        for i, (rx, rz, rp) in enumerate(rows):
+            if mix >> i & 1:
+                p, z = p + rp + 2 * (z & rx).bit_count(), z ^ rz
+        return p % 4
+    # a key outside the span is a new basis vector, with a bit above the rows
+    return [None if mix >> len(rows) else (mix, phase(mix))
+            for mix in coords[len(rows):]]
 
 
 def _normalizer_coords(code: StabilizerCode, keys: Iterable[tuple[int, int]]
                        ) -> list[tuple[int, int, complex] | None] | None:
     """X^x Z^z = i^(-p) S^a Xbar^(b & 1) Zbar^(b >> 1) for each (x, z) of
     keys, as (a, b, i^(-p)), or None for a word outside the normalizer,
-    which anticommutes with some generator.
-
-    Returns None unless the code is a qubit code with k = 1.  Construction
-    makes its generators and logicals independent involutions with the
-    commutation of a stabilizer code, the first m + 2 vectors of the span.
-    """
-    n, m = code.n, len(code.generators)
+    which anticommutes with some generator.  Returns None unless the code
+    is a qubit code with k = 1: construction makes its rows independent."""
+    m = len(code.generators)
     if code.q != 2 or code.k != 1:
         return None
     rows = code.generators + (code.logical_x, code.logical_z)
-    coords, _ = _gf2_coords([_symplectic_mask(w) for w in rows]
-                            + [x | z << n for x, z in keys])
-    out = []
-    for mix in coords[m + 2:]:
-        if mix >> m + 2:  # outside the rows' span: a new basis vector
-            out.append(None)
-            continue
-        product = reduce(mul, (rows[i] for i in range(m + 2) if mix >> i & 1),
-                         PauliWord.identity(n))
-        out.append((mix & (1 << m) - 1, mix >> m, _I_INV_POW[product.phase]))
-    return out
+    return [None if span is None else
+            (span[0] & (1 << m) - 1, span[0] >> m, _I_INV_POW[span[1]])
+            for span in _span_phases(code.n, rows, keys)]
 
 
 def sector_spectrum(poly: BellPolynomial, asg: MeasurementAssignment,
@@ -507,35 +513,28 @@ def tilt_sweep(cert: SOSCertificate, code: StabilizerCode,
 
 
 def model_check_deduction(result, code: StabilizerCode) -> float:
-    """Largest violation of any derived fact in the canonical Pauli model;
-    AssertionError above 1e-9.
-
-    The model takes X_k, Z_k to be genuine Paulis and the state any
-    codespace vector; it satisfies every hypothesis for every pair-site
-    subset, so every soundly derived fact must annihilate the codespace.
-    Qubit codes only (the qudit commutation bookkeeping is pattern-blind by
-    design and has no faithful single model).
-    """
+    """0.0 if every derived fact holds in the canonical Pauli model (X_k, Z_k
+    genuine Paulis, the state any codespace vector); else AssertionError
+    naming the first that fails.  W psi = (-1)^phase psi there exactly when
+    W = (-1)^phase S^a for a generator product S^a, and Z_k X_k = -X_k Z_k
+    needs an odd pair_comm exponent.  Qubit codes only: the qudit
+    commutation bookkeeping is pattern-blind and has no faithful model."""
     if code.q != 2:
         raise ValueError("model check is defined for qubit codes")
-    basis = codespace_basis(code)
-    worst = 0.0
-    for fact in result.facts:
-        factors = [(site, sym, power)
-                   for site, runs in fact.word for sym, power in runs]
-        w = PauliWord.from_factors(code.n, factors, q=2)
-        target = (-1.0)**fact.phase
-        err = float(np.abs(apply_word(w, basis) - target * basis).max())
-        worst = max(worst, err)
+    factors = ([(site, *run) for site, runs in f.word for run in runs]
+               for f in result.facts)
+    words = [PauliWord.from_factors(code.n, fs) for fs in factors]
+    spans = _span_phases(code.n, code.generators, map(_xz_masks, words))
+    for fact, word, span in zip(result.facts, words, spans):
+        # on the codespace W = i^(W.phase - p) S^a = i^(W.phase - p)
+        if span is None or (word.phase - span[1] - 2 * fact.phase) % 4:
+            raise AssertionError(f"derived fact {fact.idx} ({fact.rule}) "
+                                 "fails in the Pauli model")
     for site, e in result.pair_comm.items():
-        zx = PauliWord.from_factors(code.n, [(site, "Z", 1), (site, "X", 1)])
-        xz = PauliWord.from_factors(code.n, [(site, "X", 1), (site, "Z", 1)])
-        err = float(np.abs(apply_word(zx, basis)
-                           - (-1.0)**e * apply_word(xz, basis)).max())
-        worst = max(worst, err)
-    if worst > 1e-9:
-        raise AssertionError(f"derived fact fails in the Pauli model: {worst:.3e}")
-    return worst
+        if e % 2 == 0:
+            raise AssertionError(f"site {site} commutation exponent {e} "
+                                 "fails in the Pauli model")
+    return 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -440,6 +440,38 @@ class TestVerify:
         assert captured.err == ("error: --code chsh has a fixed certificate: "
                                 f"no {flag}\n")
 
+    @pytest.mark.parametrize("form", ["chsh", "verify-poly-file",
+                                      "simulate-poly-file"])
+    @pytest.mark.parametrize("flag", [["--theta", "0.3"], ["--alpha0", "1"],
+                                      ["--alpha", "3,3,3,3"], ["--mu", "0.7"],
+                                      ["--no-extras"]],
+                             ids=lambda flag: flag[0])
+    def test_flags_that_reach_nothing_are_refused(self, form, flag, tmp_path,
+                                                  capsys):
+        # neither the fixed CHSH certificate nor a stored polynomial is
+        # compiled here, so no certificate flag can change the result
+        poly = tmp_path / "i5.json"
+        assert run(["bell", "build", "--code", "five_qubit",
+                    "--out", str(poly)]) == 0
+        capsys.readouterr()
+        argv, why = {
+            "chsh": (["verify", "all", "--code", "chsh"],
+                     "--code chsh has a fixed certificate"),
+            "verify-poly-file": (["verify", "classical", "--code", "five_qubit",
+                                  "--poly-file", str(poly)],
+                                 "--poly-file gives the polynomial"),
+            "simulate-poly-file": (["simulate", "estimate", "--code",
+                                    "five_qubit", "--seed", "1",
+                                    "--poly-file", str(poly)],
+                                   "--poly-file gives the polynomial"),
+        }[form]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert run(argv + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {why}: no {flag[0]}\n"
+
     def test_chsh_accepts_certificate_flags_at_their_defaults(self, capsys):
         assert run(["verify", "all", "--code", "chsh"]) == 0
         plain = capsys.readouterr().out

@@ -3,18 +3,21 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bellcert import verify
+from bellcert import pauli, verify
 from bellcert.compile import (SOSCertificate, build_bell, chsh_certificate,
                               chsh_polynomial, default_certificate, substitute)
+from bellcert.engine import (DeduceResult, Fact, Transcript, deduce,
+                             problem_for_code)
 from bellcert.pauli import (CodeValidationError, InputError, PauliWord,
                             SizeLimitError, StabilizerCode, apply_word,
-                            code_preset, load_code)
+                            code_preset, load_code, mul)
 from bellcert.poly import (A0, A1, COEFF_TOL, BellPolynomial,
                           MeasurementAssignment, Monomial)
 from bellcert.sim import Strategy, _expectation
@@ -24,8 +27,8 @@ from bellcert.verify import (Realization, RealizationError,
                              check_selftest, classical_bound, codespace_basis,
                              codeword_expectations,
                              logical_basis, materialize, max_eig,
-                             principal_angle_sin, qudit_codespace,
-                             sector_spectrum, tilt_sweep)
+                             model_check_deduction, principal_angle_sin,
+                             qudit_codespace, sector_spectrum, tilt_sweep)
 
 from realizations import random_realization
 
@@ -492,6 +495,185 @@ class TestCodewordExpectations:
         with pytest.raises(InputError, match="code five_qubit has n = 5"):
             codeword_expectations(poly, MeasurementAssignment(6, set()),
                                   five_qubit, 0.3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_random_codes(), st.lists(st.integers(0, 4**6 - 1), max_size=8))
+def test_span_phases_match_word_products(case, strays):
+    # every product of a code's rows, generators then logicals, gets the
+    # phase pauli.mul computes for it; any other key gets None
+    code, _ = case
+    n, rows = code.n, code.generators + (code.logical_x, code.logical_z)
+    products = [reduce(mul, (r for i, r in enumerate(rows) if mix >> i & 1),
+                       PauliWord.identity(n))
+                for mix in range(1 << len(rows))]
+    assert verify._span_phases(n, rows, map(verify._xz_masks, products)) == [
+        (mix, w.phase) for mix, w in enumerate(products)]
+    spanned = {verify._xz_masks(w) for w in products}
+    keys = [(v % 2**n, v % 4**n >> n) for v in strays]
+    assert [span is None for span in verify._span_phases(n, rows, keys)] == [
+        key not in spanned for key in keys]
+
+
+def _dense_model_check(result, code) -> bool:
+    """The dense reference: apply every fact's word to a codespace basis,
+    and compare Z X with (-1)^e X Z there at every pair_comm site."""
+    basis = codespace_basis(code)
+
+    def act(factors):
+        return apply_word(PauliWord.from_factors(code.n, factors), basis)
+
+    for fact in result.facts:
+        factors = [(site, *run) for site, runs in fact.word for run in runs]
+        if np.abs(act(factors) - (-1.0)**fact.phase * basis).max() > 1e-9:
+            return False
+    return all(np.abs(act([(site, "Z", 1), (site, "X", 1)]) - (-1.0)**e
+                      * act([(site, "X", 1), (site, "Z", 1)])).max() <= 1e-9
+               for site, e in result.pair_comm.items())
+
+
+def _model_check(result, code) -> bool:
+    try:
+        return model_check_deduction(result, code) == 0.0
+    except AssertionError:
+        return False
+
+
+def _fact(idx, word, phase):
+    """The fact X^x Z^z psi = (-1)^phase psi for a qubit word's masks."""
+    runs = {}
+    for site, sym, power in word.factors():
+        runs.setdefault(site, []).append((sym, power))
+    return Fact(idx, tuple((site, tuple(r)) for site, r in runs.items()),
+                phase, "drawn")
+
+
+def _result(facts, pair_comm=None):
+    return DeduceResult("unknown", Transcript(), facts, pair_comm or {}, 0)
+
+
+def _shor25():
+    """The Shor-family [[25, 1, 5]] code: Z Z on neighbours inside each of
+    five blocks of five qubits, X on each two adjacent blocks."""
+    def word(xs=(), zs=()):
+        return PauliWord(25, 2, [int(k in xs) for k in range(25)],
+                         [int(k in zs) for k in range(25)])
+
+    gens = [word(zs=(5 * b + i, 5 * b + i + 1))
+            for b in range(5) for i in range(4)]
+    gens += [word(xs=range(5 * b, 5 * b + 10)) for b in range(4)]
+    return StabilizerCode("shor25", 25, 1, 2, tuple(gens), word(xs=range(25)),
+                          word(zs=range(25)), pair_sites={1})
+
+
+@st.composite
+def _model_check_cases(draw):
+    """A qubit code and a result whose facts are generator products with
+    the sign they have on the codespace or the flipped one, or random Pauli
+    words, and whose commutation exponents are random."""
+    code = draw(st.sampled_from([*_QUBIT_PRESETS.values(), CODE422])
+                | _random_codes().map(lambda case: case[0]))
+    n, gens = code.n, code.generators
+    facts = []
+    for idx in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 3)):
+            a = draw(st.integers(0, 2**len(gens) - 1))
+            word = reduce(mul, (g for i, g in enumerate(gens) if a >> i & 1),
+                          PauliWord.identity(n))
+            # i^p X^x Z^z is 1 on the codespace, so X^x Z^z = (-1)^(p/2)
+            # there when p is even (and no sign holds when it is odd)
+            phase = word.phase // 2 ^ draw(st.integers(0, 1))
+        else:
+            word = _word(draw(st.integers(0, 4**n - 1)), n)
+            phase = draw(st.integers(0, 1))
+        facts.append(_fact(idx, word, phase))
+    pair_comm = draw(st.dictionaries(st.integers(1, n), st.integers(0, 3),
+                                     max_size=1))
+    return code, _result(facts, pair_comm)
+
+
+class TestModelCheck:
+    def test_five_qubit_subsets_agree_with_dense(self, five_qubit):
+        for size in range(6):
+            for subset in itertools.combinations(range(1, 6), size):
+                res = deduce(problem_for_code(five_qubit, pair_sites=subset))
+                assert _model_check(res, five_qubit), subset
+                assert _dense_model_check(res, five_qubit), subset
+
+    @pytest.mark.parametrize("name", ["steane", "shor"])
+    def test_default_runs_agree_with_dense(self, name):
+        code = _QUBIT_PRESETS[name]
+        res = deduce(problem_for_code(code))
+        assert model_check_deduction(res, code) == 0.0
+        assert _dense_model_check(res, code)
+
+    def test_flipped_phase_fails(self, steane):
+        res = deduce(problem_for_code(steane))
+        res.facts[7].phase ^= 1
+        assert not _dense_model_check(res, steane)
+        with pytest.raises(AssertionError, match=r"^derived fact 7 \("):
+            model_check_deduction(res, steane)
+
+    @pytest.mark.parametrize("word", ["logical_x", "Z1"])
+    def test_logical_and_anticommuting_words_fail(self, five_qubit, word):
+        # Xbar commutes with every generator but is not a scalar on the
+        # codespace; Z1 anticommutes with the generator XZZXI
+        w = (five_qubit.logical_x if word == "logical_x"
+             else PauliWord.from_factors(5, [(1, "Z", 1)]))
+        for phase in (0, 1):
+            res = _result([_fact(0, five_qubit.generators[0], 0),
+                           _fact(1, w, phase)])
+            assert not _dense_model_check(res, five_qubit)
+            with pytest.raises(AssertionError, match="^derived fact 1 "):
+                model_check_deduction(res, five_qubit)
+
+    @pytest.mark.parametrize("exponent", [0, 2])
+    def test_even_commutation_exponent_fails(self, five_qubit, exponent):
+        res = _result([], {1: 1, 3: exponent})
+        assert not _dense_model_check(res, five_qubit)
+        with pytest.raises(AssertionError,
+                           match=f"^site 3 commutation exponent {exponent} "):
+            model_check_deduction(res, five_qubit)
+
+    @pytest.mark.parametrize("code", [QRM15, _shor25(), CODE422],
+                             ids=["qrm15", "shor25", "code422"])
+    def test_checks_codes_beyond_the_dense_cap_and_k_not_1(self, code):
+        res = deduce(problem_for_code(code))
+        assert res.facts
+        assert model_check_deduction(res, code) == 0.0
+        res.facts[-1].phase ^= 1
+        with pytest.raises(AssertionError):
+            model_check_deduction(res, code)
+        if code.n > 14:  # the dense reference cannot hold this codespace
+            with pytest.raises(SizeLimitError):
+                codespace_basis(code)
+
+    def test_qudit_codes_refused(self):
+        res = deduce(problem_for_code(code_preset("five_qudit:3")))
+        with pytest.raises(ValueError, match="defined for qubit codes"):
+            model_check_deduction(res, code_preset("five_qudit:3"))
+
+    def test_builds_no_dense_state(self, monkeypatch, steane):
+        results = [(deduce(problem_for_code(code)), code)
+                   for code in (steane, QRM15)]
+
+        def refuse(*args):
+            raise AssertionError("dense work in the model check")
+
+        for module in (verify, pauli):
+            for name in ("codespace_basis", "apply_word"):
+                monkeypatch.setattr(module, name, refuse)
+        for res, code in results:
+            assert model_check_deduction(res, code) == 0.0
+        res = _result([_fact(0, steane.logical_z, 0)])
+        with pytest.raises(AssertionError, match="^derived fact 0 "):
+            model_check_deduction(res, steane)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(_model_check_cases())
+    def test_random_results_agree_with_dense(self, case):
+        code, res = case
+        assert _model_check(res, code) == _dense_model_check(res, code)
 
 
 def _dict_pauli_sum(poly, a):
