@@ -9,6 +9,7 @@ cap), 3 deduction unknown, 4 deduction contradiction, 5 capability
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -225,15 +226,13 @@ def cmd_selftest(args) -> int:
         problem = engine.problem_for_code(code, pair_sites=subset,
                                           extras=not args.no_extras)
         result = engine.deduce(problem, budget)
-        text = engine.transcript_render(result.transcript)
         if args.json:
             _emit_json({"status": result.status,
                         "pair_comm": {str(k): v for k, v in
-
                                       sorted(result.pair_comm.items())},
                         "transcript": result.transcript.to_json()}, args.out)
         else:
-            _write_text(text, args.out)
+            _write_text(engine.transcript_render(result.transcript), args.out)
         return {engine.PROVED: EXIT_OK,
                 engine.UNKNOWN: EXIT_UNKNOWN,
                 engine.CONTRADICTION: EXIT_CONTRADICTION}[result.status]
@@ -254,8 +253,6 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not math.isfinite(args.state_theta):
-        raise InputError(f"--state-theta {args.state_theta} is not finite")
     if args.seed < 0:
         raise InputError(f"--seed {args.seed} must be >= 0")
     code, _, poly = _inputs(args)
@@ -370,9 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use and shared: parse_args returns a fresh Namespace
+    # each call and leaves the parser as it was
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except sim.EstimationError as exc:

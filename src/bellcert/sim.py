@@ -93,7 +93,12 @@ class Strategy:
                   seed: int = 0) -> "Strategy":
         """Tilted codeword cos(theta)|0L> + sin(theta)|1L> with the
         canonical realization of ``asg``, by default the code's pair sites
-        at mu = pi/4."""
+        at mu = pi/4.  A theta whose double is not finite is refused, since
+        estimates read sin 2 theta and cos 2 theta."""
+        if not math.isfinite(2 * theta):
+            why = ("is not finite" if not math.isfinite(theta)
+                   else f"doubles to {2 * theta}")
+            raise InputError(f"--state-theta {theta} {why}")
         if code.k != 1:
             raise InputError(f"logical basis defined for k=1 codes, "
                              f"not k={code.k}")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bellcert import compile as compiler, engine, pauli, sim, verify
+from bellcert import cli, compile as compiler, engine, pauli, sim, verify
 from bellcert.cli import main
 from bellcert.pauli import (CodeValidationError, InputError, SizeLimitError,
                             code_preset, load_code)
@@ -557,6 +557,16 @@ class TestSelftest:
         doc = json.loads(capsys.readouterr().out)
         assert doc["first_transcripts"]["1"]
 
+    def test_json_renders_no_transcript_text(self, monkeypatch, capsys):
+        assert run(["selftest", "deduce", "--code", "five_qubit", "--json"]) == 0
+        plain = capsys.readouterr().out
+
+        def refuse(transcript):
+            raise AssertionError("transcript rendered under --json")
+        monkeypatch.setattr(engine, "transcript_render", refuse)
+        assert run(["selftest", "deduce", "--code", "five_qubit", "--json"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_transcript_file(self, tmp_path):
         out = tmp_path / "t.txt"
         run(["selftest", "deduce", "--code", "five_qubit", "--out", str(out)])
@@ -619,12 +629,25 @@ class TestSimulate:
     @pytest.mark.parametrize("flags, message", [
         (["--state-theta", "nan"], "--state-theta nan is not finite"),
         (["--state-theta", "inf"], "--state-theta inf is not finite"),
+        # finite, but sin 2 theta and cos 2 theta are not
+        (["--state-theta", "1e308"], "--state-theta 1e+308 doubles to inf"),
+        (["--state-theta=-1e308"], "--state-theta -1e+308 doubles to -inf"),
         (["--seed", "-1"], "--seed -1 must be >= 0"),
-    ], ids=["theta-nan", "theta-inf", "seed-negative"])
+    ], ids=["theta-nan", "theta-inf", "theta-1e308", "theta-minus-1e308",
+            "seed-negative"])
     def test_bad_state_or_seed_exits_2(self, flags, message, capsys):
         argv = ["simulate", "estimate", "--code", "five_qubit", "--seed", "1"]
         assert run(argv + flags) == 2
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("action", ["estimate", "noise-sweep"])
+    def test_largest_doubling_state_theta_runs(self, action, capsys):
+        assert run(["simulate", action, "--code", "five_qubit", "--seed", "1",
+                    "--shots", "1000", "--state-theta", "8e307"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "nan" not in captured.out
 
     def test_shots_above_cap_exit_2(self, capsys):
         assert run(["simulate", "estimate", "--code", "five_qubit", "--seed",
@@ -780,6 +803,56 @@ class TestSimulate:
         for argv, out in zip(argvs, before):
             assert run(argv) == 0
             assert capsys.readouterr().out == out
+
+
+class TestRepeatedCalls:
+    def test_calls_in_one_process_are_independent(self, tmp_path, capsys):
+        doc = tmp_path / "steane.json"
+        doc.write_text(json.dumps(code_preset("steane").to_json()))
+
+        def call(argv):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+            captured = capsys.readouterr()
+            return status, captured.out, captured.err
+
+        plain = ["verify", "all", "--code", "five_qubit"]
+        first = call(plain)
+        assert first[0] == 0 and first[2] == ""
+        tilted = call(["verify", "all", "--code", "steane", "--no-extras",
+                       "--alpha0", "1", "--theta", "0.3"])
+        assert tilted[0] == 0 and json.loads(tilted[1])["passed"]
+        usage = call(["verify", "all", "--code", "steane",
+                      "--code-file", str(doc)])
+        assert usage[0] == 2 and "not allowed with argument" in usage[2]
+        assert call(["verify", "all", "--code", "chsh", "--alpha0", "1"]) == (
+            2, "", "error: --code chsh has a fixed certificate: no --alpha0\n")
+        assert call(plain) == first
+        # the shared parser still gives every default, --no-extras included
+        for argv in (plain, ["verify", "all", "--code", "steane"]):
+            args = cli._parser().parse_args(argv)
+            assert vars(args) == vars(cli.build_parser().parse_args(argv))
+            assert (args.no_extras, args.alpha0, args.theta) == (False, 0.0,
+                                                                 0.0)
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        built, build = [], cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["codes", "list"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert capsys.readouterr().out.split() == [
+            "five_qubit", "steane", "shor", "five_qudit"] * 3
 
 
 class TestRefusalFamily:

@@ -321,3 +321,23 @@ class TestStrategy:
     def test_dimension_checked(self):
         with pytest.raises(ValueError):
             Strategy(np.array([1.0, 0, 0, 0]), direct_realization(3))
+
+    @pytest.mark.parametrize("theta, message", [
+        (math.nan, "nan is not finite"), (math.inf, "inf is not finite"),
+        (-math.inf, "-inf is not finite"), (1e308, "1e+308 doubles to inf"),
+        (-1e308, "-1e+308 doubles to -inf")])
+    def test_tilt_with_non_finite_double_refused(self, five_qubit, theta,
+                                                 message):
+        # an estimate reads sin 2 theta and cos 2 theta
+        with pytest.raises(InputError) as exc:
+            Strategy.from_code(five_qubit, theta=theta)
+        assert str(exc.value) == f"--state-theta {message}"
+
+    def test_largest_doubling_tilt_estimates(self, five_qubit):
+        theta = 8e307
+        assert math.isfinite(2 * theta)
+        compiled = build_bell(default_certificate(five_qubit), five_qubit)
+        report = estimate_bell(Strategy.from_code(five_qubit, theta=theta,
+                                                  seed=1), compiled.poly, 1000)
+        assert math.isfinite(report.estimate)
+        assert math.isfinite(report.stderr)
