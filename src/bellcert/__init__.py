@@ -5,7 +5,7 @@ symbols with measurement settings (tilted pairs on the designated sites),
 and obtain a Bell polynomial whose quantum bound carries an explicit
 sum-of-squares certificate.  Verification runs four independent routes:
 exact symbolic identity checking, spectral analysis against the codespace
-(one 2 x 2 block per syndrome sector), proof search over the on-state
+(one block per syndrome sector), proof search over the on-state
 deduction rules, and a finite-shot game simulator that estimates the
 violation from sampled rounds, drawing each monomial's outcome products
 from their exact Born-rule law under optional depolarizing noise.  Every

@@ -162,6 +162,8 @@ def build_bell(cert: SOSCertificate,
     alpha0 + 2 sum alpha_i; otherwise the general form
     2 alpha0 P + 2 sum alpha_i S_i - sum alpha_i S_i^2 - alpha0 P^2 with
     bound alpha0 + sum alpha_i.  Each S_i is substituted and squared once.
+    CertificateError if the bound or a coefficient of any part is not
+    finite; parts are checked, since ``add_scaled`` drops a NaN term.
     """
     asg = cert.assignment()
     subs = tuple(substitute(w, asg) for w in cert.operators)
@@ -189,9 +191,15 @@ def build_bell(cert: SOSCertificate,
         for a, sq in zip(cert.alphas, squares):
             poly.add_scaled(sq, -a)
         bound = cert.alpha0 + cert.alpha_sum()
+    parts = [*subs, *squares, tilted, poly]
     if cert.alpha0 > 0:
+        parts.append(tilted.square())
         poly.add_scaled(tilted, 2.0 * cert.alpha0)
-        poly.add_scaled(tilted.square(), -cert.alpha0)
+        poly.add_scaled(parts[-1], -cert.alpha0)
+    if not all(map(math.isfinite, [bound, *(
+            c for part in parts for c in part.coeffs.values())])):
+        raise CertificateError("the bound or a coefficient is not finite: "
+                               "weights or mu out of range")
 
     poly.meta.update({
         "code": cert.code_name,

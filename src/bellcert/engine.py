@@ -22,6 +22,7 @@ identity.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -51,6 +52,8 @@ class Problem:
     name: str = ""
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ProblemError(f"n = {self.n} must be >= 1")
         if self.q < 2:
             raise ProblemError("q must be >= 2")
         object.__setattr__(self, "pair_sites",
@@ -90,13 +93,20 @@ class Problem:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "Problem":
-        return cls(
-            n=int(doc["n"]), q=int(doc.get("q", 2)),
-            pair_sites=frozenset(doc.get("pair_sites", ())),
-            operators=tuple(tuple((int(s), str(sym), int(p)) for s, sym, p in op)
-                            for op in doc["operators"]),
-            name=str(doc.get("name", "")),
-        )
+        """The problem ``to_json`` wrote; ProblemError for any other document."""
+        index = operator.index
+        try:
+            fields = dict(
+                n=index(doc["n"]), q=index(doc.get("q", 2)),
+                pair_sites=frozenset(map(index, doc.get("pair_sites", ()))),
+                operators=tuple(tuple((index(s), str(sym), index(p))
+                                      for s, sym, p in op)
+                                for op in doc["operators"]),
+                name=str(doc.get("name", "")))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProblemError(f"malformed problem document: "
+                               f"{type(exc).__name__}: {exc}") from exc
+        return cls(**fields)
 
 
 @dataclass(frozen=True)

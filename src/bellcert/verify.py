@@ -9,10 +9,11 @@ Qubit stabilizer questions are answered in the phase-exact GF(2) algebra
 exactly when its word is a signed generator product (``model_check_deduction``).
 At the canonical realization a compiled polynomial is a sum of Pauli words;
 for k = 1 a normalizer word i^(-p) S^a Xbar^bx Zbar^bz acts on the syndrome-s
-sector as i^(-p) (-1)^(a.s) times a 2 x 2 logical Pauli: one batched eigh
-gives the spectrum, the same coordinates each monomial's expectation on a
-tilted codeword.  Other polynomials, realizations and words take the dense
-route (``materialize``, ``max_eig``).
+sector as i^(-p) (-1)^(a.s) times a 2 x 2 logical Pauli, and for k != 1 a
+stabilizer word i^(-p) S^a as the scalar i^(-p) (-1)^(a.s): one batched eigh
+gives the spectrum ``check_selftest`` reads, the same coordinates each
+monomial's expectation on a tilted codeword.  Polynomials without a code
+take the dense route (``materialize``, ``max_eig``).
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .pauli import (MAX_MATRIX_DIM, InputError, PauliWord, SizeLimitError,
-                    StabilizerCode, apply_word, code_preset, codespace_basis)
+                    StabilizerCode, apply_word, code_preset, codespace_basis,
+                    comm_exponent)
 from .poly import (COEFF_TOL, BellPolynomial, MeasurementAssignment,
                    Monomial)
-from .compile import CompiledInequality, SOSCertificate, build_bell
+from .compile import (CertificateError, CompiledInequality, SOSCertificate,
+                      build_bell)
 
 EIG_CLUSTER_TOL = 1e-8
 SELFTEST_TOL = 1e-8  # bound attainment, codespace distance, 1 - fidelity
@@ -280,13 +283,14 @@ def _span_phases(n: int, rows: Sequence[PauliWord],
 def _normalizer_coords(code: StabilizerCode, keys: Iterable[tuple[int, int]]
                        ) -> list[tuple[int, int, complex] | None] | None:
     """X^x Z^z = i^(-p) S^a Xbar^(b & 1) Zbar^(b >> 1) for each (x, z) of
-    keys, as (a, b, i^(-p)), or None for a word outside the normalizer,
-    which anticommutes with some generator.  Returns None unless the code
-    is a qubit code with k = 1: construction makes its rows independent."""
+    keys, as (a, b, i^(-p)), or None outside the span of the rows: the
+    generators, then Xbar and Zbar if k = 1 (else b = 0).  Returns None
+    unless the code is a qubit code: construction makes its rows independent."""
     m = len(code.generators)
-    if code.q != 2 or code.k != 1:
+    if code.q != 2:
         return None
-    rows = code.generators + (code.logical_x, code.logical_z)
+    rows = code.generators + ((code.logical_x, code.logical_z)
+                              if code.k == 1 else ())
     return [None if span is None else
             (span[0] & (1 << m) - 1, span[0] >> m, _I_INV_POW[span[1]])
             for span in _span_phases(code.n, rows, keys)]
@@ -297,14 +301,14 @@ def sector_spectrum(poly: BellPolynomial, asg: MeasurementAssignment,
                     ) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenvalues and eigenvectors of poly per syndrome sector, or None.
 
-    Returns (vals, vecs) of shapes (2^m, 2) and (2^m, 2, 2), m = n - 1: row s
-    is the block on the sector where generator j has eigenvalue (-1)^(s_j),
-    written in the basis (|0L>_s, Xbar|0L>_s) with Zbar|0L>_s = |0L>_s, so
-    row 0 is the codespace in the convention of ``logical_basis``.  Returns
-    None, for the dense route to take over, unless the code meets
-    ``_normalizer_coords``'s conditions on the assignment's sites and every
-    word of the polynomial at the canonical realization lies in the
-    normalizer.  Refuses more than MAX_SECTORS sectors.
+    Returns (vals, vecs) of shapes (2^m, d) and (2^m, d, d), m generators:
+    row s is the block on the sector where generator j has eigenvalue
+    (-1)^(s_j), so row 0 is the codespace.  For k = 1, d = 2, in the basis
+    (|0L>_s, Xbar|0L>_s) with Zbar|0L>_s = |0L>_s of ``logical_basis``;
+    else d = 1, the sector's one value of multiplicity 2^k.  Returns None
+    unless the code meets ``_normalizer_coords``'s conditions on the
+    assignment's sites and each word of the polynomial at the canonical
+    realization lies in the span of its rows.  Refuses over MAX_SECTORS.
     """
     n, m = code.n, len(code.generators)
     if asg.n != n or poly.max_site() > n:
@@ -318,10 +322,11 @@ def sector_spectrum(poly: BellPolynomial, asg: MeasurementAssignment,
                              f"cap {MAX_SECTORS}")
     if None in coords:
         return None
-    weights = np.zeros((1 << m, 4), dtype=complex)
+    sigma = _SIGMA if code.k == 1 else _SIGMA[:1, :1, :1]
+    weights = np.zeros((1 << m, len(sigma)), dtype=complex)
     for (a, b, phase), c in zip(coords, terms.values()):
         weights[a, b] += c * phase
-    return _eigh(np.tensordot(_walsh(weights), _SIGMA, axes=1))
+    return _eigh(np.tensordot(_walsh(weights), sigma, axes=1))
 
 
 def codeword_expectations(poly: BellPolynomial, asg: MeasurementAssignment,
@@ -333,19 +338,19 @@ def codeword_expectations(poly: BellPolynomial, asg: MeasurementAssignment,
     A normalizer word i^(-p) S^a Xbar^bx Zbar^bz has expectation
     i^(-p) <sigma_b>, since S^a is 1 on the codespace, and <sigma_b> is 1,
     sin 2 theta, cos 2 theta or 0 for b = 0..3; any other word anticommutes
-    with a generator, so its expectation is 0.  Refuses a code that fails
-    ``_normalizer_coords``'s conditions, or other sites than the code's.
+    with a generator, so its expectation is 0.  Refuses a code other than a
+    k = 1 qubit code, or other sites than the code's.
     """
     if asg.n != code.n or poly.max_site() > code.n:
         raise InputError(f"assignment on {asg.n} sites, polynomial up to site "
                          f"{poly.max_site()}; code {code.name} has n = {code.n}")
+    if code.q != 2 or code.k != 1:
+        raise InputError(f"code {code.name} is not a k = 1 qubit code")
     site_words: dict = {}
     expanded = [(mono, _expand(mono, 1.0, asg, site_words))
                 for mono, _ in poly.terms()]
     keys = dict.fromkeys((x, z) for _, terms in expanded for x, z, _ in terms)
     coords = _normalizer_coords(code, keys)
-    if coords is None:
-        raise InputError(f"code {code.name} is not a k = 1 qubit code")
     sigma = (1.0, math.sin(2 * theta), math.cos(2 * theta), 0.0)
     value = {key: 0.0 if coord is None else coord[2] * sigma[coord[1]]
              for key, coord in zip(keys, coords)}
@@ -443,38 +448,39 @@ class SelftestReport:
         return doc
 
 
+def _sector_refusal(cert: SOSCertificate, code: StabilizerCode) -> str:
+    """Why the syndrome sectors of code cannot carry cert's polynomial."""
+    if code.q != 2 or cert.n != code.n:
+        return (f"certificate on {cert.n} qubits; code {code.name} has "
+                f"n = {code.n}, q = {code.q}")
+    for op in cert.operators:
+        for j, g in enumerate(code.generators, start=1):
+            if comm_exponent(op, g):
+                return f"operator {op} anticommutes with generator S_{j} = {g}"
+    return (f"a certificate word lies outside the span of code {code.name}'s "
+            "generators (and logicals, for k = 1)")
+
+
 def check_selftest(compiled: CompiledInequality,
                    code: StabilizerCode) -> SelftestReport:
     """Spectral verification that the compiled inequality certifies its target.
 
-    With alpha0 = 0 the top eigenspace must be the codespace (multiplicity
-    2^k); with alpha0 > 0 it must be the single tilted codeword
-    cos(theta)|0L> + sin(theta)|1L>.  The spectrum comes from
-    ``sector_spectrum`` where it applies, else from the dense matrix.
+    With alpha0 = 0 the top eigenspace must be the codespace, sector 0 of
+    ``sector_spectrum`` (multiplicity 2^k); with alpha0 > 0 (k = 1 only) the
+    single tilted codeword cos(theta)|0L> + sin(theta)|1L>.  A certificate
+    the sectors cannot carry is refused with CertificateError.
     """
     cert = compiled.certificate
-    target = np.array([math.cos(cert.theta), math.sin(cert.theta)])
+    if cert.alpha0 > 0 and code.k != 1:
+        raise InputError(f"logical basis defined for k=1 codes, not k={code.k}")
     sectors = sector_spectrum(compiled.poly, compiled.assignment, code)
-    if sectors is not None:
-        vals, vecs = sectors
-        top, _, gap = _top_cluster(np.sort(vals, axis=None))
-        in_top = vals >= top - EIG_CLUSTER_TOL
-        mult = int(in_top.sum())
-        # other sectors are orthogonal to the codespace (sector 0)
-        dist = 0.0 if mult == 2 and in_top[0].all() else 1.0
-        sector, col = np.argwhere(in_top)[0]
-        fid = (float(abs(np.vdot(vecs[0, :, col], target))**2)
-               if sector == 0 else 0.0)
-    else:
-        real = canonical_realization(compiled.assignment)
-        spec = max_eig(materialize(compiled.poly, real))
-        top, mult, gap = spec.max_eigenvalue, spec.multiplicity, spec.gap
-        if cert.alpha0 == 0:
-            dist = principal_angle_sin(spec.eigenbasis, codespace_basis(code))
-        else:
-            v0, v1 = logical_basis(code)
-            fid = float(abs(np.vdot(spec.eigenbasis[:, 0],
-                                    target[0] * v0 + target[1] * v1))**2)
+    if sectors is None:
+        raise CertificateError(_sector_refusal(cert, code))
+    vals, vecs = sectors
+    top, _, gap = _top_cluster(np.sort(vals, axis=None))
+    in_top = vals >= top - EIG_CLUSTER_TOL
+    # a block of size d carries each of its values 2^k / d times
+    mult = int(in_top.sum()) * 2**code.k // vals.shape[1]
     report = SelftestReport(
         code=code.name, theta=cert.theta, alpha0=cert.alpha0,
         bound=compiled.bound, max_eigenvalue=top, multiplicity=mult, gap=gap,
@@ -485,12 +491,18 @@ def check_selftest(compiled: CompiledInequality,
     if cert.alpha0 == 0:
         report.checks.append(("multiplicity", mult == 2**code.k,
                               f"multiplicity {mult}"))
+        # other sectors are orthogonal to the codespace (sector 0)
+        dist = 0.0 if mult == 2**code.k and in_top[0].all() else 1.0
         report.subspace_distance = dist
         report.checks.append(("eigenspace_is_codespace", dist <= SELFTEST_TOL,
                               f"principal-angle sin = {dist:.3e}"))
     else:
         report.checks.append(("multiplicity", mult == 1,
                               f"multiplicity {mult}"))
+        sector, col = np.argwhere(in_top)[0]
+        target = (math.cos(cert.theta), math.sin(cert.theta))
+        fid = (float(abs(np.vdot(vecs[0, :, col], target))**2)
+               if sector == 0 else 0.0)
         report.fidelity = fid
         report.checks.append(("fidelity", fid >= 1.0 - SELFTEST_TOL,
                               f"fidelity {fid:.12f}"))

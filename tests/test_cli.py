@@ -21,6 +21,7 @@ from bellcert.sim import MAX_SHOTS
 FIVE_QUBIT_DOC = code_preset("five_qubit").to_json()
 QRM15 = Path(__file__).parent / "fixtures" / "qrm15.json"
 CODE422 = Path(__file__).parent / "fixtures" / "code422.json"
+STEANE2 = Path(__file__).parent / "fixtures" / "steane2.json"
 
 # SHA-256 of TestSimulate.test_golden_simulate_digest's runs (argv, exit code,
 # stdout), as the sampler drawing each monomial's outcome products in one
@@ -177,6 +178,30 @@ class TestBell:
         assert run(argv + ["--code", "five_qubit"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "all", "--code", "five_qubit", "--theta", "0.3",
+         "--alpha0", "1e308"],
+        ["verify", "all", "--code", "steane", "--mu", "1e-300"],
+        ["verify", "all", "--code", "five_qubit",
+         "--alpha", "1e308,1e308,1e308,1e308"],
+        ["bell", "build", "--code", "steane", "--mu", "1e-300"],
+    ], ids=["alpha0-1e308", "verify-mu-1e-300", "alpha-1e308",
+            "build-mu-1e-300"])
+    def test_overflowing_certificate_exits_2(self, argv, tmp_path, capsys):
+        # finite weights and mu whose products overflow: no NaN report and
+        # no -Infinity coefficient in a written file
+        out = tmp_path / "f.json"
+        assert run(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (
+            "error: the bound or a coefficient is not finite: weights or mu "
+            "out of range\n"))
+        assert not out.exists()
+
+    def test_huge_finite_coefficients_compile(self, capsys):
+        assert run(["bell", "build", "--code", "steane", "--mu", "1e-40"]) == 0
+        assert "bound = 8\n" in capsys.readouterr().out
+
     def test_steane_unit_alphas_bound(self, capsys):
         assert run(["bell", "build", "--code", "steane"]) == 0
         assert "bound = 8" in capsys.readouterr().out
@@ -212,6 +237,14 @@ class TestVerify:
         assert spectral["gap"] == pytest.approx(4.0, abs=1e-9)
         assert classical["classical_bound"] == pytest.approx(
             12 + 8 * math.sqrt(2), abs=1e-9)
+
+    def test_k2_code_beyond_the_dense_cap(self, capsys):
+        # two Steane blocks, [[14,2]]: 2^14 exceeds the dense matrix cap,
+        # its 2^12 syndrome sectors do not
+        assert run(["verify", "all", "--code-file", str(STEANE2)]) == 0
+        spectral = json.loads(capsys.readouterr().out)["checks"]["spectral"]
+        assert (spectral["max_eigenvalue"], spectral["multiplicity"],
+                spectral["subspace_distance"]) == (12.0, 4, 0.0)
 
     def test_sectors_above_cap_exit_2(self, tmp_path, capsys):
         # the 23-qubit repetition code has 2^22 syndrome sectors

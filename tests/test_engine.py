@@ -174,6 +174,30 @@ class TestProblems:
             Problem(n=2, q=2, pair_sites=frozenset({1}),
                     operators=(((1, "X", -1),),))
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 5}, "KeyError: 'operators'"),
+        ({"n": 2, "operators": [[[1, "X"]]]},
+         "ValueError: not enough values to unpack"),
+        ({"n": 2, "operators": [[[1, "X", 1.5]]]},
+         "TypeError: 'float' object cannot be interpreted as an integer"),
+        ({"n": 2, "operators": [[[1, "X", "two"]]]},
+         "TypeError: 'str' object cannot be interpreted as an integer"),
+        ([], "TypeError: list indices must be integers"),
+    ], ids=["no-operators", "two-field-factor", "float-power", "str-power",
+            "not-a-mapping"])
+    def test_malformed_json_refused(self, doc, message):
+        with pytest.raises(ProblemError) as info:
+            Problem.from_json(doc)
+        assert str(info.value).startswith(
+            f"malformed problem document: {message}")
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_sites_refused(self, n):
+        with pytest.raises(ProblemError, match=f"^n = {n} must be >= 1$"):
+            Problem(n=n, q=2, pair_sites=frozenset(), operators=())
+        with pytest.raises(ProblemError, match=f"^n = {n} must be >= 1$"):
+            Problem.from_json({"n": n, "operators": []})
+
     def test_json_roundtrip(self, five_qubit):
         problem = problem_for_code(five_qubit)
         again = Problem.from_json(problem.to_json())

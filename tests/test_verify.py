@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bellcert import pauli, verify
-from bellcert.compile import (SOSCertificate, build_bell, chsh_certificate,
-                              chsh_polynomial, default_certificate, substitute)
+from bellcert.compile import (CertificateError, SOSCertificate, build_bell,
+                              chsh_certificate, chsh_polynomial,
+                              default_certificate, substitute)
 from bellcert.engine import (DeduceResult, Fact, Transcript, deduce,
                              problem_for_code)
 from bellcert.pauli import (CodeValidationError, InputError, PauliWord,
@@ -232,6 +233,16 @@ def _word(v: int, n: int) -> PauliWord:
                      tuple(v >> (n + k) & 1 for k in range(n)))
 
 
+def _transvected(draw, frame: list[int], n: int) -> list[int]:
+    """frame moved by transvections u -> u + <u, v> v along drawn v with an
+    odd number of Y sites."""
+    for v in draw(st.lists(st.integers(1, 4**n - 1), max_size=12)):
+        if _parity(v & v >> n):
+            frame = [u ^ v if _parity((u & v >> n) ^ (v & u >> n)) else u
+                     for u in frame]
+    return frame
+
+
 @st.composite
 def _random_codes(draw):
     """A valid [[n, 1]] qubit code, n <= 6, its pair sites and weights.
@@ -243,11 +254,8 @@ def _random_codes(draw):
     stay phase-free Hermitian involutions, as compiled certificates need.
     """
     n = draw(st.integers(2, 6))
-    frame = [1 << (n + k) for k in range(1, n)] + [1, 1 << n]
-    for v in draw(st.lists(st.integers(1, 4**n - 1), max_size=12)):
-        if _parity(v & v >> n):
-            frame = [u ^ v if _parity((u & v >> n) ^ (v & u >> n)) else u
-                     for u in frame]
+    frame = _transvected(draw, [1 << (n + k) for k in range(1, n)]
+                         + [1, 1 << n], n)
     code = StabilizerCode(
         "random", n, 1, 2, tuple(_word(u, n) for u in frame[:-2]),
         logical_x=_word(frame[-2], n), logical_z=_word(frame[-1], n),
@@ -259,6 +267,41 @@ def _random_codes(draw):
 
 CODE422 = load_code((Path(__file__).parent / "fixtures" / "code422.json")
                     .read_text())
+STEANE2 = load_code((Path(__file__).parent / "fixtures" / "steane2.json")
+                    .read_text())
+_DENSE_NAMES = ("materialize", "max_eig", "codespace_basis", "logical_basis",
+                "principal_angle_sin")
+
+
+def _forbid_dense(monkeypatch):
+    """Make every dense-route name in verify fail the test if called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense route taken")
+    for name in _DENSE_NAMES:
+        monkeypatch.setattr(verify, name, refuse)
+
+
+@st.composite
+def _random_codes_not_k1(draw):
+    """A valid [[n, k]] qubit code with k in {0, 2, 3}, k < n <= 8, and one
+    weight per generator.
+
+    As in ``_random_codes``, transvections move a standard frame: the
+    generators Z_(k+1)..Z_n and the logicals X_1 and Z_1 (the identity for
+    k = 0).
+    """
+    k = draw(st.sampled_from([0, 2, 3]))
+    n = draw(st.integers(k + 1, 8))
+    frame = _transvected(draw, [1 << (n + i) for i in range(k, n)]
+                         + ([1, 1 << n] if k else []), n)
+    logicals = frame[n - k:] or [0, 0]
+    code = StabilizerCode(
+        "random", n, k, 2, tuple(_word(u, n) for u in frame[:n - k]),
+        logical_x=_word(logicals[0], n), logical_z=_word(logicals[1], n),
+        pair_sites=draw(st.frozensets(st.integers(1, n))))
+    alphas = draw(st.lists(st.floats(0.25, 4.0), min_size=n - k,
+                           max_size=n - k))
+    return load_code(code.to_json()), alphas
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -367,48 +410,99 @@ class TestSectorRoute:
             assert not report.passed
 
     @staticmethod
-    def _dense_only(code, monkeypatch, theta=0.0, alpha0=0.0):
-        """(check_selftest report, dense spectrum) for code's certificate
-        plus Z_1, which anticommutes with S_1 = X Z Z X I, so the
-        polynomial leaves the normalizer and no sector block exists."""
+    def _with_z1(code, theta=0.0, alpha0=0.0):
+        """code's certificate plus Z_1, which anticommutes with
+        S_1 = X Z Z X I, so the polynomial leaves the normalizer and no
+        sector block exists."""
         operators = default_certificate(code).operators
         cert = SOSCertificate(
             n=5, theta=theta, alpha0=alpha0, alphas=(1.0,) * 5,
             operators=operators + (PauliWord.from_factors(5, [(1, "Z", 1)]),),
             pair_sites=code.pair_sites, code_name="five_qubit")
         compiled = build_bell(cert, code)
-        real = canonical_realization(compiled.assignment)
         assert sector_spectrum(compiled.poly, compiled.assignment,
                                code) is None
-        calls = []
-        monkeypatch.setattr(verify, "materialize",
-                            lambda *a: calls.append(1) or materialize(*a))
+        return compiled
+
+    def test_anticommuting_operator_is_refused(self, five_qubit,
+                                               monkeypatch):
+        # <Z_1> = 0 on the codespace, so it cannot attain the bound; the
+        # refusal names the operator and the generator, with no dense report
+        _forbid_dense(monkeypatch)
+        with pytest.raises(CertificateError, match="^operator Z1 anticommutes "
+                           "with generator S_1 = X1 Z2 Z3 X4$"):
+            check_selftest(self._with_z1(five_qubit), five_qubit)
+
+    def test_anticommuting_operator_is_refused_when_tilted(self, five_qubit,
+                                                           monkeypatch):
+        _forbid_dense(monkeypatch)
+        with pytest.raises(CertificateError, match="^operator Z1 anticommutes "
+                           "with generator S_1 = X1 Z2 Z3 X4$"):
+            check_selftest(self._with_z1(five_qubit, theta=0.4, alpha0=1.0),
+                           five_qubit)
+
+    @pytest.mark.parametrize("case, error, message", [
+        ("qudit", CertificateError,
+         "certificate on 5 qubits; code five_qudit:3 has n = 5, q = 3"),
+        ("sites", CertificateError,
+         "certificate on 5 qubits; code steane has n = 7, q = 2"),
+        ("logical_word", CertificateError,
+         "a certificate word lies outside the span of code code422's "
+         "generators (and logicals, for k = 1)"),
+        ("tilted_k2", InputError,
+         "logical basis defined for k=1 codes, not k=2"),
+    ], ids=["qudit", "sites", "logical_word", "tilted_k2"])
+    def test_certificates_the_sectors_cannot_carry_are_refused(
+            self, case, error, message, five_qubit, monkeypatch):
+        if case in ("qudit", "sites"):
+            compiled = build_bell(default_certificate(five_qubit), five_qubit)
+            code = code_preset({"qudit": "five_qudit:3",
+                                "sites": "steane"}[case])
+        elif case == "logical_word":
+            # Xbar commutes with both generators but is not their product
+            cert = default_certificate(CODE422)
+            cert = replace(cert, alphas=(1.0,) * 3, operators=(
+                cert.operators + (CODE422.logical_x,)))
+            compiled, code = build_bell(cert, CODE422), CODE422
+        else:
+            cert = default_certificate(CODE422, theta=0.3, alpha0=1.0)
+            compiled, code = build_bell(cert, CODE422), CODE422
+        _forbid_dense(monkeypatch)
+        with pytest.raises(error) as info:
+            check_selftest(compiled, code)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name", [
+        "five_qubit", "steane", "shor", "qrm15", "code422", "steane2"])
+    def test_one_route_for_every_code(self, name, monkeypatch):
+        code = {"qrm15": QRM15, "code422": CODE422,
+                "steane2": STEANE2}.get(name) or code_preset(name)
+        _forbid_dense(monkeypatch)
+        for alpha0 in (0.0, 1.0) if code.k == 1 else (0.0,):
+            cert = default_certificate(code, theta=0.3, alpha0=alpha0)
+            report = check_selftest(build_bell(cert, code), code)
+            assert report.passed, (name, alpha0)
+            assert report.multiplicity == (1 if alpha0 else 2**code.k)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_random_codes_not_k1())
+    @example((CODE422, None))
+    def test_k_not_1_matches_dense_route(self, case):
+        # each sector of a k != 1 code carries one value 2^k times
+        code, alphas = case
+        compiled = build_bell(default_certificate(code, alphas=alphas), code)
         report = check_selftest(compiled, code)
-        assert calls == [1]
-        return report, max_eig(materialize(compiled.poly, real))
-
-    def test_anticommuting_operator_takes_dense_route(self, five_qubit,
-                                                      monkeypatch):
-        report, spec = self._dense_only(five_qubit, monkeypatch)
-        dist = principal_angle_sin(spec.eigenbasis, codespace_basis(five_qubit))
-        assert (report.max_eigenvalue, report.multiplicity, report.gap,
-                report.subspace_distance) == (spec.max_eigenvalue,
-                                              spec.multiplicity, spec.gap,
-                                              dist)
-        assert not report.passed
-
-    def test_dense_route_measures_tilted_fidelity(self, five_qubit,
-                                                  monkeypatch):
-        report, spec = self._dense_only(five_qubit, monkeypatch,
-                                        theta=0.4, alpha0=1.0)
-        v0, v1 = logical_basis(five_qubit)
-        target = math.cos(0.4) * v0 + math.sin(0.4) * v1
-        fid = abs(np.vdot(spec.eigenbasis[:, 0], target))**2
-        assert 0.9 < fid < 1 - 1e-3
-        assert report.fidelity == pytest.approx(fid, abs=1e-12)
-        assert report.multiplicity == spec.multiplicity == 1
-        assert report.subspace_distance is None
-        assert not report.passed
+        spec = max_eig(materialize(compiled.poly,
+                                   canonical_realization(compiled.assignment)))
+        dist = principal_angle_sin(spec.eigenbasis, codespace_basis(code))
+        assert report.multiplicity == spec.multiplicity
+        assert report.max_eigenvalue == pytest.approx(spec.max_eigenvalue,
+                                                      abs=1e-10)
+        assert report.gap == pytest.approx(spec.gap, abs=1e-10)
+        assert report.subspace_distance == pytest.approx(dist, abs=1e-10)
+        assert report.passed == (
+            abs(spec.max_eigenvalue - compiled.bound) <= verify.SELFTEST_TOL
+            and spec.multiplicity == 2**code.k and dist <= verify.SELFTEST_TOL)
 
     @pytest.mark.parametrize("variant, refusal", [
         ("five_qudit:3", None),
@@ -417,7 +511,7 @@ class TestSectorRoute:
     ], ids=["five_qudit:3", "i_times_s1", "commuting_logicals"])
     def test_codes_outside_the_sector_form_return_none(self, five_qubit,
                                                        variant, refusal):
-        # a qudit code takes the dense route; a generator that squares to
+        # a qudit code has no syndrome sectors; a generator that squares to
         # -I and logicals that commute are refused when the code is built
         s1 = five_qubit.generators[0]
         build = {
