@@ -28,6 +28,6 @@ from .verify import (Realization, SelftestReport, SpectralReport,
 from .engine import (Budget, DeduceResult, Problem, deduce, problem_for_code,
                      search_subsets, transcript_render)
 from .sim import (EstimateReport, EstimationError, Strategy, estimate_bell,
-                  noise_sweep, sample_round)
+                  noise_sweep)
 
 __version__ = "0.1.0"

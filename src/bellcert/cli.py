@@ -41,7 +41,9 @@ def _parse_list(text: str, kind: type = float) -> list:
 
 
 def _emit_json(doc, out: str | None) -> None:
-    _write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+    # a non-finite float has no JSON form: refuse it rather than write one
+    _write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+                + "\n", out)
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -184,22 +186,20 @@ def cmd_verify(args) -> int:
                          "residual_max": residual.max_abs_coeff(),
                          "bound": compiled.bound,
                          "reduced_form": compiled.reduced_form}
-    if args.check == "classical":
-        # only the top eigenvalue: no target state, so no logical basis
-        sectors = (verify.sector_spectrum(poly, compiled.assignment, code)
-                   if code is not None and compiled is not None else None)
-        spectral = {"max_eigenvalue": float(sectors[0].max())
-                    if sectors is not None else _spectrum(poly).max_eigenvalue}
-    elif args.check != "sos":
+    if args.check != "sos":
         # one spectrum per command: the spectral and classical checks share it
-        if code is not None and compiled is not None:
-            spectral = verify.check_selftest(compiled, code).to_json()
-        else:
+        if code is None or compiled is None:
             spectral = _spectrum(poly).to_json()
             if compiled is not None:
                 delta = abs(spectral["max_eigenvalue"] - compiled.bound)
                 spectral.update(bound=compiled.bound,
                                 passed=delta <= verify.SELFTEST_TOL)
+        elif args.check == "classical":
+            # only the top eigenvalue: no target state, so no logical basis
+            vals, _ = verify.compiled_sectors(compiled, code)
+            spectral = {"max_eigenvalue": float(vals.max())}
+        else:
+            spectral = verify.check_selftest(compiled, code).to_json()
     if args.check in ("spectral", "all"):
         checks["spectral"] = spectral
     if args.check in ("classical", "all"):

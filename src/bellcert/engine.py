@@ -52,20 +52,29 @@ class Problem:
     name: str = ""
 
     def __post_init__(self):
+        # integers as operator.index reads them: 2.7 is refused, not truncated
+        index = operator.index
+        try:
+            coerced = dict(
+                n=index(self.n), q=index(self.q),
+                pair_sites=frozenset(map(index, self.pair_sites)),
+                operators=tuple(tuple((index(site), sym, index(power))
+                                      for site, sym, power in op)
+                                for op in self.operators))
+        except (TypeError, ValueError) as exc:
+            raise ProblemError(f"malformed problem: {type(exc).__name__}: "
+                               f"{exc}") from exc
+        for name, value in coerced.items():
+            object.__setattr__(self, name, value)
         if self.n < 1:
             raise ProblemError(f"n = {self.n} must be >= 1")
         if self.q < 2:
             raise ProblemError("q must be >= 2")
-        object.__setattr__(self, "pair_sites",
-                           frozenset(int(s) for s in self.pair_sites))
         for s in self.pair_sites:
             if not 1 <= s <= self.n:
                 raise ProblemError(f"pair site {s} out of range")
-        ops = []
         for op in self.operators:
-            factors = []
             for site, sym, power in op:
-                site, power = int(site), int(power)
                 if not 1 <= site <= self.n:
                     raise ProblemError(f"operator site {site} out of range")
                 if sym not in ("X", "Z"):
@@ -74,9 +83,6 @@ class Problem:
                     raise ProblemError(
                         "negative powers at pair sites are ill-formed for q=2 "
                         "(pair-site symbols are Hermitian but not unitary)")
-                factors.append((site, sym, power))
-            ops.append(tuple(factors))
-        object.__setattr__(self, "operators", tuple(ops))
 
     def is_pair(self, site: int) -> bool:
         return site in self.pair_sites

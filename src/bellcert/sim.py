@@ -2,35 +2,29 @@
 
 A strategy is a shared state plus two single-qubit observables per site.
 Each round the verifier picks one setting per site and the provers return
-+-1 outcomes drawn by the Born rule: ``sample_round`` rotates the state
-into every site's eigenbasis for the chosen settings and draws one basis
-index, whose bits are the per-site outcomes.
-
-An estimate needs only each monomial's outcome product, which is +-1 with
-P(+1) = (1 + <m>)/2 exactly, <m> = <psi| (x) A_site |psi> over the
-monomial's sites.  Local depolarizing noise (1 - p) rho + p I/2 on every
-site scales <m> by (1 - p)^|supp m|: the channels act per site, and an
-unmeasured site's channel is traced out.  So the number of +1 products in
-m shots is one binomial draw, and the mean and ddof=1 variance of the m
-products follow from it in closed form; this is the exact law of m
-independent rounds, with no per-shot array.  On a code's tilted codeword
-each <m> comes from the stabilizer algebra, so an estimate builds no 2^n
-state.
++-1 outcomes drawn by the Born rule.  No round-by-round sampler exists: an
+estimate needs only each monomial's outcome product, +-1 with P(+1) =
+(1 + <m>)/2 exactly, <m> = <psi| (x) A_site |psi> over the monomial's
+sites.  Local depolarizing noise (1 - p) rho + p I/2 on every site scales
+<m> by (1 - p)^|supp m|: the channels act per site, and an unmeasured
+site's channel is traced out.  So the number of +1 products in m shots is
+one binomial draw, whose mean and ddof=1 variance follow in closed form:
+estimates draw from this exact law of m independent rounds, with no
+per-shot array.  On a code's tilted codeword each <m> comes from the
+stabilizer algebra, so a ``from_code`` strategy holds no 2^n state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .pauli import InputError, SizeLimitError, StabilizerCode
 from .poly import BellPolynomial, MeasurementAssignment, Monomial
-from .verify import (Realization, canonical_realization,
-                     codeword_expectations, logical_basis)
+from .verify import Realization, codeword_expectations
 
 # The cap bounds the requested shot budget; no per-shot array exists, since
 # each monomial's outcome products are one binomial draw.
@@ -44,10 +38,10 @@ class EstimationError(ValueError):
 class Strategy:
     """Shared n-qubit state, a realization, and the RNG seed.
 
-    A strategy from ``from_code`` keeps its ``codeword`` (code, theta,
-    assignment) instead of a state: estimates take each <m> from
-    ``verify.codeword_expectations``; the 2^n state, the realization and
-    the eigenbases are built when first used, by ``sample_round`` say.
+    A strategy from ``from_code`` keeps only its ``codeword`` (code, theta,
+    assignment) and seed: estimates take each <m> from
+    ``verify.codeword_expectations``.  Any other strategy holds its
+    ``state`` and ``realization``.
     """
 
     def __init__(self, state: np.ndarray | None,
@@ -68,24 +62,6 @@ class Strategy:
             norm = np.linalg.norm(self.state)
             if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
                 raise InputError(f"state norm {norm} != 1")
-        self._rng = np.random.default_rng(seed)
-
-    @cached_property
-    def state(self) -> np.ndarray:
-        """The 2^n vector; a ``from_code`` strategy builds it on first read."""
-        code, theta, _ = self.codeword
-        v0, v1 = logical_basis(code)
-        return math.cos(theta) * v0 + math.sin(theta) * v1
-
-    @cached_property
-    def realization(self) -> Realization:
-        return canonical_realization(self.codeword[2])
-
-    @cached_property
-    def _eigs(self) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-        """Per site and setting: (ascending eigenvalues, eigenvector columns)."""
-        return [[np.linalg.eigh(self.realization.obs(site, setting))
-                 for setting in (0, 1)] for site in range(1, self.n + 1)]
 
     @classmethod
     def from_code(cls, code: StabilizerCode, theta: float = 0.0,
@@ -107,30 +83,6 @@ class Strategy:
             raise InputError(f"assignment on {asg.n} sites; code {code.name} "
                              f"has n = {code.n}")
         return cls(None, None, seed, codeword=(code, theta, asg))
-
-
-def sample_round(strategy: Strategy,
-                 settings: Mapping[int, int]) -> dict[int, int]:
-    """One verifier round: a single Born-rule draw of every site's outcome
-    from the strategy's own stream.
-
-    Settings must cover every site; outcomes are +-1 per site.
-    """
-    n = strategy.n
-    if set(settings) != set(range(1, n + 1)):
-        raise InputError("settings must cover every site exactly once")
-    psi = strategy.state.reshape((2,) * n)
-    vals = []
-    for k in range(n):
-        site_vals, vecs = strategy._eigs[k][settings[k + 1]]
-        psi = np.moveaxis(np.tensordot(vecs.conj().T, psi, axes=([1], [k])), 0, k)
-        vals.append(site_vals)
-    probs = np.abs(psi.reshape(-1))**2
-    probs = probs / probs.sum()
-    # bit n - s of the basis index selects site s's ascending eigenvalue
-    idx = strategy._rng.choice(probs.size, size=1, p=probs)[0]
-    return {s: int(round(vals[s - 1][(idx >> (n - s)) & 1]))
-            for s in range(1, n + 1)}
 
 
 @dataclass

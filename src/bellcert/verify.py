@@ -8,12 +8,12 @@ Qubit stabilizer questions are answered in the phase-exact GF(2) algebra
 (``_span_phases``), with no 2^n state.  A derived fact holds on the codespace
 exactly when its word is a signed generator product (``model_check_deduction``).
 At the canonical realization a compiled polynomial is a sum of Pauli words;
-for k = 1 a normalizer word i^(-p) S^a Xbar^bx Zbar^bz acts on the syndrome-s
-sector as i^(-p) (-1)^(a.s) times a 2 x 2 logical Pauli, and for k != 1 a
-stabilizer word i^(-p) S^a as the scalar i^(-p) (-1)^(a.s): one batched eigh
-gives the spectrum ``check_selftest`` reads, the same coordinates each
-monomial's expectation on a tilted codeword.  Polynomials without a code
-take the dense route (``materialize``, ``max_eig``).
+for k >= 1 a word i^(-p) S^a Xbar^bx Zbar^bz acts on the syndrome-s sector
+as i^(-p) (-1)^(a.s) times a 2 x 2 logical Pauli, and for k = 0 a stabilizer
+word i^(-p) S^a as the scalar i^(-p) (-1)^(a.s): one batched eigh gives the
+spectrum ``check_selftest`` reads, the same coordinates each monomial's
+expectation on a tilted codeword.  Only polynomials without a code take the
+dense route (``materialize``, ``max_eig``).
 """
 
 from __future__ import annotations
@@ -148,7 +148,8 @@ class SpectralReport:
         return {
             "max_eigenvalue": self.max_eigenvalue,
             "multiplicity": self.multiplicity,
-            "gap": self.gap,
+            # null when nothing lies below the top: JSON has no infinity
+            "gap": None if self.gap == math.inf else self.gap,
             "dimension": int(self.eigenbasis.shape[0]),
         }
 
@@ -284,13 +285,14 @@ def _normalizer_coords(code: StabilizerCode, keys: Iterable[tuple[int, int]]
                        ) -> list[tuple[int, int, complex] | None] | None:
     """X^x Z^z = i^(-p) S^a Xbar^(b & 1) Zbar^(b >> 1) for each (x, z) of
     keys, as (a, b, i^(-p)), or None outside the span of the rows: the
-    generators, then Xbar and Zbar if k = 1 (else b = 0).  Returns None
-    unless the code is a qubit code: construction makes its rows independent."""
+    generators, then Xbar and Zbar if k >= 1 (k = 0 puts them in the span,
+    and b = 0).  Returns None unless the code is a qubit code: construction
+    makes its rows independent."""
     m = len(code.generators)
     if code.q != 2:
         return None
     rows = code.generators + ((code.logical_x, code.logical_z)
-                              if code.k == 1 else ())
+                              if code.k else ())
     return [None if span is None else
             (span[0] & (1 << m) - 1, span[0] >> m, _I_INV_POW[span[1]])
             for span in _span_phases(code.n, rows, keys)]
@@ -303,12 +305,13 @@ def sector_spectrum(poly: BellPolynomial, asg: MeasurementAssignment,
 
     Returns (vals, vecs) of shapes (2^m, d) and (2^m, d, d), m generators:
     row s is the block on the sector where generator j has eigenvalue
-    (-1)^(s_j), so row 0 is the codespace.  For k = 1, d = 2, in the basis
-    (|0L>_s, Xbar|0L>_s) with Zbar|0L>_s = |0L>_s of ``logical_basis``;
-    else d = 1, the sector's one value of multiplicity 2^k.  Returns None
-    unless the code meets ``_normalizer_coords``'s conditions on the
-    assignment's sites and each word of the polynomial at the canonical
-    realization lies in the span of its rows.  Refuses over MAX_SECTORS.
+    (-1)^(s_j), so row 0 is the codespace.  For k >= 1, d = 2: the block of
+    Xbar and Zbar, each value 2^(k-1) times in the sector, in the basis
+    (|0L>_s, Xbar|0L>_s) with Zbar|0L>_s = |0L>_s of ``logical_basis`` for
+    k = 1; for k = 0, d = 1.  Returns None unless the code meets
+    ``_normalizer_coords``'s conditions on the assignment's sites and each
+    word of the polynomial at the canonical realization lies in the span of
+    its rows.  Refuses over MAX_SECTORS.
     """
     n, m = code.n, len(code.generators)
     if asg.n != n or poly.max_site() > n:
@@ -322,7 +325,7 @@ def sector_spectrum(poly: BellPolynomial, asg: MeasurementAssignment,
                              f"cap {MAX_SECTORS}")
     if None in coords:
         return None
-    sigma = _SIGMA if code.k == 1 else _SIGMA[:1, :1, :1]
+    sigma = _SIGMA if code.k else _SIGMA[:1, :1, :1]
     weights = np.zeros((1 << m, len(sigma)), dtype=complex)
     for (a, b, phase), c in zip(coords, terms.values()):
         weights[a, b] += c * phase
@@ -436,7 +439,7 @@ class SelftestReport:
             "bound": self.bound,
             "max_eigenvalue": self.max_eigenvalue,
             "multiplicity": self.multiplicity,
-            "gap": self.gap,
+            "gap": None if self.gap == math.inf else self.gap,
             "passed": self.passed,
             "checks": [{"name": n, "passed": ok, "detail": d}
                        for n, ok, d in self.checks],
@@ -448,17 +451,24 @@ class SelftestReport:
         return doc
 
 
-def _sector_refusal(cert: SOSCertificate, code: StabilizerCode) -> str:
-    """Why the syndrome sectors of code cannot carry cert's polynomial."""
+def compiled_sectors(compiled: CompiledInequality, code: StabilizerCode
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``sector_spectrum`` of a compiled certificate on code, or
+    CertificateError saying why the sectors cannot carry it."""
+    sectors = sector_spectrum(compiled.poly, compiled.assignment, code)
+    if sectors is not None:
+        return sectors
+    cert = compiled.certificate
     if code.q != 2 or cert.n != code.n:
-        return (f"certificate on {cert.n} qubits; code {code.name} has "
-                f"n = {code.n}, q = {code.q}")
+        raise CertificateError(f"certificate on {cert.n} qubits; code "
+                               f"{code.name} has n = {code.n}, q = {code.q}")
     for op in cert.operators:
         for j, g in enumerate(code.generators, start=1):
             if comm_exponent(op, g):
-                return f"operator {op} anticommutes with generator S_{j} = {g}"
-    return (f"a certificate word lies outside the span of code {code.name}'s "
-            "generators (and logicals, for k = 1)")
+                raise CertificateError(
+                    f"operator {op} anticommutes with generator S_{j} = {g}")
+    raise CertificateError(f"a certificate word lies outside the span of code "
+                           f"{code.name}'s generators and logicals")
 
 
 def check_selftest(compiled: CompiledInequality,
@@ -468,15 +478,12 @@ def check_selftest(compiled: CompiledInequality,
     With alpha0 = 0 the top eigenspace must be the codespace, sector 0 of
     ``sector_spectrum`` (multiplicity 2^k); with alpha0 > 0 (k = 1 only) the
     single tilted codeword cos(theta)|0L> + sin(theta)|1L>.  A certificate
-    the sectors cannot carry is refused with CertificateError.
+    the sectors cannot carry is refused by ``compiled_sectors``.
     """
     cert = compiled.certificate
     if cert.alpha0 > 0 and code.k != 1:
         raise InputError(f"logical basis defined for k=1 codes, not k={code.k}")
-    sectors = sector_spectrum(compiled.poly, compiled.assignment, code)
-    if sectors is None:
-        raise CertificateError(_sector_refusal(cert, code))
-    vals, vecs = sectors
+    vals, vecs = compiled_sectors(compiled, code)
     top, _, gap = _top_cluster(np.sort(vals, axis=None))
     in_top = vals >= top - EIG_CLUSTER_TOL
     # a block of size d carries each of its values 2^k / d times

@@ -139,7 +139,7 @@ def test_signed_generator_exits_2(argv, tmp_path, capsys):
     (["verify", "all", "--theta", "0.3", "--alpha0", "1"], 2),
     (["simulate", "estimate", "--seed", "1"], 2),
     (["verify", "all"], 0),
-    # the classical check needs only the top eigenvalue: dense top 5.0
+    # the classical check needs only the top eigenvalue: the sectors' 5.0
     (["verify", "classical", "--theta", "0.3", "--alpha0", "1"], 0),
 ], ids=["tilted-verify", "simulate", "untilted-verify", "tilted-classical"])
 def test_k2_code_refuses_logical_basis(argv, want, capsys):
@@ -245,6 +245,27 @@ class TestVerify:
         spectral = json.loads(capsys.readouterr().out)["checks"]["spectral"]
         assert (spectral["max_eigenvalue"], spectral["multiplicity"],
                 spectral["subspace_distance"]) == (12.0, 4, 0.0)
+
+    def test_tilted_k2_classical_beyond_the_dense_cap(self, capsys):
+        # the sectors carry Xbar and Zbar for every k >= 1: the tilted
+        # [[14,2]] certificate attains its bound 13 with no 2^14 matrix
+        assert run(["verify", "classical", "--code-file", str(STEANE2),
+                    "--theta", "0.3", "--alpha0", "1"]) == 0
+        classical = json.loads(capsys.readouterr().out)["checks"]["classical"]
+        assert classical["quantum_value"] == pytest.approx(13.0, abs=1e-9)
+
+    def test_infinite_gap_is_json_null(self, capsys):
+        # at mu = 1e-40 every eigenvalue joins the top cluster, so nothing
+        # lies below it; the report stays strict JSON and still fails
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        for check in ("spectral", "all"):
+            assert run(["verify", check, "--code", "steane",
+                        "--mu", "1e-40"]) == 1
+            doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+            assert doc["checks"]["spectral"]["gap"] is None
+            assert not doc["passed"]
 
     def test_sectors_above_cap_exit_2(self, tmp_path, capsys):
         # the 23-qubit repetition code has 2^22 syndrome sectors
@@ -372,8 +393,11 @@ class TestVerify:
     @pytest.mark.parametrize("argv, sectors, dense", [
         (["all", "--code", "five_qubit"], 1, 0),
         (["classical", "--code", "shor"], 1, 0),
+        (["classical", "--code-file", str(CODE422), "--theta", "0.3",
+          "--alpha0", "1"], 1, 0),
         (["all", "--code", "chsh"], 0, 1),
-    ], ids=["all-five_qubit", "classical-shor", "all-chsh"])
+    ], ids=["all-five_qubit", "classical-shor", "classical-code422-tilted",
+            "all-chsh"])
     def test_all_computes_one_spectrum(self, argv, sectors, dense, capsys,
                                        monkeypatch):
         # the spectral and classical checks read one spectrum: the sector
@@ -761,8 +785,11 @@ class TestSimulate:
         capsys.readouterr()
         for strategy, poly in seen:
             assert poly.meta["reduced_form"]
-            h = verify.materialize(poly, strategy.realization)
-            value = np.vdot(strategy.state, h @ strategy.state).real
+            code, theta, asg = strategy.codeword
+            v0, v1 = verify.logical_basis(code)
+            state = math.cos(theta) * v0 + math.sin(theta) * v1
+            h = verify.materialize(poly, verify.canonical_realization(asg))
+            value = np.vdot(state, h @ state).real
             assert abs(value - poly.meta["bound"]) <= 1e-9
 
     def test_byte_identical_reruns(self, capsys):
@@ -829,7 +856,7 @@ class TestSimulate:
         def refuse(*args):
             raise AssertionError("built a codespace")
 
-        for module, name in ((verify, "logical_basis"), (sim, "logical_basis"),
+        for module, name in ((verify, "logical_basis"),
                              (verify, "codespace_basis"),
                              (pauli, "codespace_basis")):
             monkeypatch.setattr(module, name, refuse)

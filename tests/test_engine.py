@@ -191,6 +191,15 @@ class TestProblems:
         assert str(info.value).startswith(
             f"malformed problem document: {message}")
 
+    @pytest.mark.parametrize("fields", [
+        dict(n=2.7, operators=()), dict(n=2, operators=(((1, "X", 1.5),),)),
+    ], ids=["float-n", "float-power"])
+    def test_constructor_refuses_non_integers(self, fields):
+        # read as operator.index reads them, never truncated by int()
+        with pytest.raises(ProblemError, match="TypeError: 'float' object "
+                           "cannot be interpreted as an integer$"):
+            Problem(q=2, pair_sites=frozenset(), **fields)
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_sites_refused(self, n):
         with pytest.raises(ProblemError, match=f"^n = {n} must be >= 1$"):

@@ -10,9 +10,9 @@ from bellcert.compile import build_bell, chsh_polynomial, default_certificate
 from bellcert.poly import A0, A1, BellPolynomial, MeasurementAssignment, Monomial
 from bellcert.pauli import InputError, SizeLimitError
 from bellcert.sim import (MAX_SHOTS, EstimationError, Strategy, _allocate,
-                          _expectation, estimate_bell, noise_sweep,
-                          sample_round)
-from bellcert.verify import Realization, canonical_realization, materialize
+                          _expectation, estimate_bell, noise_sweep)
+from bellcert.verify import (Realization, canonical_realization,
+                             logical_basis, materialize)
 
 from realizations import random_realization
 
@@ -30,56 +30,6 @@ def bell_pair_strategy(seed=0):
     state[0] = state[3] = 1 / SQRT2
     asg = MeasurementAssignment(2, {1})
     return Strategy(state, canonical_realization(asg), seed=seed)
-
-
-class TestSampleRound:
-    def test_product_state_deterministic(self):
-        strat = Strategy(np.array([1, 0, 0, 0], dtype=complex),
-                         direct_realization(2), seed=1)
-        for _ in range(20):
-            out = sample_round(strat, {1: 1, 2: 1})
-            assert out == {1: 1, 2: 1}
-
-    def test_bell_pair_correlation(self):
-        strat = bell_pair_strategy(seed=42)
-        total = 0
-        shots = 4000
-        for _ in range(shots):
-            out = sample_round(strat, {1: 0, 2: 0})
-            total += out[1] * out[2]
-        assert total / shots == pytest.approx(1 / SQRT2, abs=0.05)
-
-    def test_stabilizer_round_products(self, shor):
-        # X-string stabilizers give outcome product +1 in every round when
-        # all sites are measured directly
-        from bellcert.verify import logical_basis
-        v0, _ = logical_basis(shor)
-        strat = Strategy(v0, direct_realization(9), seed=3)
-        for _ in range(25):
-            out = sample_round(strat, {s: 0 for s in range(1, 10)})
-            product = 1
-            for s in (1, 2, 3, 4, 5, 6):  # X1..X6 stabilizer support
-                product *= out[s]
-            assert product == 1
-
-    def test_golden_rounds(self, five_qubit):
-        # 20 rounds at a fixed seed, settings cycling through the bit
-        # patterns of the round number, as Generator.choice draws them
-        strat = Strategy.from_code(five_qubit, theta=0.3, seed=11)
-        rounds = []
-        for r in range(20):
-            out = sample_round(strat, {s: (r >> (s - 1)) & 1 for s in range(1, 6)})
-            rounds.append("".join("+" if out[s] == 1 else "-"
-                                  for s in range(1, 6)))
-        assert rounds == [
-            "--+--", "-+++-", "+--++", "---++", "---+-", "++++-", "-----",
-            "--+--", "+++-+", "+--++", "-+-++", "+----", "+-++-", "-+--+",
-            "--+--", "++--+", "+-+-+", "+----", "++-+-", "+---+"]
-
-    def test_settings_must_cover_sites(self):
-        strat = bell_pair_strategy()
-        with pytest.raises(ValueError):
-            sample_round(strat, {1: 0})
 
 
 @st.composite
@@ -118,20 +68,6 @@ class TestEstimate:
         strat = Strategy.from_code(five_qubit, seed=9)
         report = estimate_bell(strat, compiled.poly, 200_000)
         assert abs(report.estimate - compiled.bound) <= 5 * report.stderr
-
-    def test_realization_built_on_first_read(self, five_qubit, monkeypatch):
-        # an estimate on the codeword never reads the realization
-        built = []
-        monkeypatch.setattr(sim, "canonical_realization",
-                            lambda asg: built.append(asg)
-                            or canonical_realization(asg))
-        compiled = build_bell(default_certificate(five_qubit), five_qubit)
-        strat = Strategy.from_code(five_qubit, seed=9)
-        estimate_bell(strat, compiled.poly, 1000)
-        assert built == [] and strat.n == 5
-        sample_round(strat, {s: 0 for s in range(1, 6)})
-        assert built == [compiled.assignment]
-        assert strat.realization is strat.realization
 
     def test_zero_polynomial(self, five_qubit):
         strat = Strategy.from_code(five_qubit, seed=1)
@@ -229,10 +165,11 @@ class TestNoise:
         # per-site depolarizing noise scales each monomial by (1 - p)^|supp|
         compiled = build_bell(default_certificate(five_qubit), five_qubit)
         strat = Strategy.from_code(five_qubit, seed=31)
+        state = logical_basis(five_qubit)[0]
         real = canonical_realization(compiled.assignment)
         clean = [(coeff, len(mono.factors),
-                  np.vdot(strat.state, materialize(BellPolynomial({mono: 1.0}),
-                                                   real) @ strat.state).real)
+                  np.vdot(state, materialize(BellPolynomial({mono: 1.0}),
+                                             real) @ state).real)
                  for mono, coeff in compiled.poly.terms()]
         grid = [0.05, 0.1, 0.5]
         for row in noise_sweep(strat, compiled.poly, grid, 20_000):
@@ -243,7 +180,7 @@ class TestNoise:
                                                      monkeypatch):
         compiled = build_bell(default_certificate(five_qubit), five_qubit)
         grid = [0.1, 0.0, 0.05, 1.0]
-        state = Strategy.from_code(five_qubit).state
+        state = logical_basis(five_qubit)[0]
         real = canonical_realization(compiled.assignment)
         routes = {  # the codeword's algebra, and the same state given
             "codeword_expectations": lambda: Strategy.from_code(five_qubit,
@@ -293,11 +230,10 @@ class TestNoise:
                           noise_p=-0.1),
     lambda: estimate_bell(bell_pair_strategy(), chsh_polynomial(), 100,
                           allocation="bogus"),
-    lambda: sample_round(bell_pair_strategy(), {1: 0}),
     lambda: Strategy(np.array([1.0, 1.0, 0, 0]), direct_realization(2)),
     lambda: Strategy(np.array([1.0, 0, 0, 0]), direct_realization(3)),
 ], ids=["shots-zero", "shots-below-monomials", "noise-negative", "allocation",
-        "settings", "norm", "dimension"])
+        "norm", "dimension"])
 def test_refusals_are_input_errors(refused):
     with pytest.raises(InputError):
         refused()

@@ -143,6 +143,12 @@ class TestMaxEig:
         with pytest.raises(ValueError):
             max_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_lone_cluster_gap_is_json_null(self):
+        # nothing below the top: the gap is infinite, which JSON cannot hold
+        rep = max_eig(np.eye(2, dtype=complex))
+        assert rep.gap == math.inf
+        assert rep.to_json()["gap"] is None
+
 
 class TestCodespace:
     def test_five_qubit_dimension(self, five_qubit):
@@ -448,7 +454,7 @@ class TestSectorRoute:
          "certificate on 5 qubits; code steane has n = 7, q = 2"),
         ("logical_word", CertificateError,
          "a certificate word lies outside the span of code code422's "
-         "generators (and logicals, for k = 1)"),
+         "generators and logicals"),
         ("tilted_k2", InputError,
          "logical basis defined for k=1 codes, not k=2"),
     ], ids=["qudit", "sites", "logical_word", "tilted_k2"])
@@ -459,10 +465,12 @@ class TestSectorRoute:
             code = code_preset({"qudit": "five_qudit:3",
                                 "sites": "steane"}[case])
         elif case == "logical_word":
-            # Xbar commutes with both generators but is not their product
+            # X1 X3, the second logical qubit's X, commutes with both
+            # generators but lies outside their span with Xbar and Zbar
             cert = default_certificate(CODE422)
             cert = replace(cert, alphas=(1.0,) * 3, operators=(
-                cert.operators + (CODE422.logical_x,)))
+                cert.operators
+                + (PauliWord.from_factors(4, [(1, "X", 1), (3, "X", 1)]),)))
             compiled, code = build_bell(cert, CODE422), CODE422
         else:
             cert = default_certificate(CODE422, theta=0.3, alpha0=1.0)
@@ -503,6 +511,25 @@ class TestSectorRoute:
         assert report.passed == (
             abs(spec.max_eigenvalue - compiled.bound) <= verify.SELFTEST_TOL
             and spec.multiplicity == 2**code.k and dist <= verify.SELFTEST_TOL)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_random_codes_not_k1(), st.floats(0.0, math.pi / 2))
+    @example((CODE422, None), 0.3)
+    def test_tilted_k_not_1_sectors_match_dense_route(self, case, theta):
+        # the sectors carry Xbar and Zbar for every k >= 1, so a tilted
+        # certificate's spectrum needs no 2^n matrix; each value of a block
+        # of size d is carried 2^k / d times
+        code, alphas = case
+        cert = default_certificate(code, theta=theta, alpha0=1.0,
+                                   alphas=alphas)
+        compiled = build_bell(cert, code)
+        vals, _ = sector_spectrum(compiled.poly, compiled.assignment, code)
+        spec = max_eig(materialize(compiled.poly,
+                                   canonical_realization(compiled.assignment)))
+        top = vals.max()
+        assert top == pytest.approx(spec.max_eigenvalue, abs=1e-10)
+        in_top = int((vals >= top - verify.EIG_CLUSTER_TOL).sum())
+        assert in_top * 2**code.k // vals.shape[1] == spec.multiplicity
 
     @pytest.mark.parametrize("variant, refusal", [
         ("five_qudit:3", None),
